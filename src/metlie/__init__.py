@@ -10,11 +10,10 @@ from .linalg import (Matrix, Q, Subspace, SymmetricForm, orthogonal_complement,
                      signature, solve_affine, subspace_ops)
 from .lie import (IdealChain, InternalCheckError, JacobiError, LieAlgebra,
                   abelian, center, derived_subalgebra, direct_sum,
-                  jacobi_check, killing_and_radical, killing_form,
-                  nilpotency_radical, solvable_radical, structure_report)
+                  killing_form, nilpotency_radical, solvable_radical,
+                  structure_report)
 from .modules import (ModuleFiltration, Representation,
-                      adjoint_representation, check_representation,
-                      direct_sum_representations, dual_and_sub_quotient,
+                      adjoint_representation, direct_sum_representations,
                       dual_representation, filtration, invariant_split,
                       is_semisimple, module_radical, module_socle,
                       quotient_representation, sub_representation,
@@ -27,7 +26,7 @@ from .cohomology import (Cochain, CochainComplex, PairMorphism,
 from .metric import (CanonicalIdeals, ExtensionData, MetricLieAlgebra,
                      SimpleIdealError, canonical_extension, canonical_ideals,
                      extension_from_ideal, extract_cocycle, find_simple_ideal,
-                     index, metric_violation, validate_metric)
+                     metric_violation)
 from .quadext import (AdmissibilityReport, IndecomposabilityVerdict,
                       StandardModel, admissibility, alpha0_kernel_image,
                       bk_system_solvable, build_model, build_modified,

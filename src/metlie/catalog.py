@@ -11,14 +11,15 @@ admissibility and indecomposability for every row within bounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import Cochain, CochainComplex, QuadraticCocycle
 from .lie import InternalCheckError, LieAlgebra, abelian, killing_form
-from .linalg import (Matrix, Q, Subspace, SymmetricForm, rational,
-                     signature, unit_vector)
+from .linalg import (Matrix, Q, Subspace, SymmetricForm, block_diagonal,
+                     rational, signature, unit_vector)
 from .modules import Representation
 from .quadext import (IndecomposabilityVerdict, StandardModel,
                       admissibility, build_model, build_modified,
@@ -77,24 +78,6 @@ class RepFamilySpec:
     kind: str
     weights: Tuple
 
-    def block_signature(self) -> Tuple[int, int]:
-        if self.kind == "plus":
-            return (0, 2 * len(self.weights))
-        if self.kind == "minus":
-            return (2 * len(self.weights), 0)
-        if self.kind == "prime":
-            return (len(self.weights), len(self.weights))
-        if self.kind == "doubleprime":
-            return (2 * len(self.weights), 2 * len(self.weights))
-        if self.kind == "trivial":
-            p, q = self.weights
-            return (p, q)
-        if self.kind == "su2_odd":
-            return (0, 2 * self.weights[0] + 1)
-        if self.kind == "su2_quat":
-            return (0, 4 * self.weights[0])
-        raise ValueError(f"unknown family kind {self.kind!r}")
-
 
 def _plus_block(value: Fraction) -> Matrix:
     return Matrix([[0, -value], [value, 0]])
@@ -110,20 +93,6 @@ def _doubleprime_block(mu: Fraction, nu: Fraction) -> Matrix:
         [nu, 0, 0, mu],
         [mu, 0, 0, -nu],
         [0, mu, nu, 0]])
-
-
-def _block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    size = sum(b.rows for b in blocks)
-    rows = []
-    offset = 0
-    for b in blocks:
-        for r in range(b.rows):
-            row = [Q(0)] * size
-            for c in range(b.cols):
-                row[offset + c] = b[r, c]
-            rows.append(row)
-        offset += b.rows
-    return Matrix(rows, size, size)
 
 
 def build_rep(specs: Sequence[RepFamilySpec], l: LieAlgebra) -> Representation:
@@ -142,7 +111,7 @@ def build_rep(specs: Sequence[RepFamilySpec], l: LieAlgebra) -> Representation:
                     val = rational(w[i]) if i < len(w) else Q(0)
                     blocks.append(_plus_block(val) if spec.kind != "prime"
                                   else _prime_block(val))
-                mats.append(_block_diag(blocks))
+                mats.append(block_diagonal(blocks))
             block_actions.append(mats)
             block_forms.append(Matrix.diagonal(
                 per_block_gram[spec.kind] * len(spec.weights)))
@@ -154,7 +123,7 @@ def build_rep(specs: Sequence[RepFamilySpec], l: LieAlgebra) -> Representation:
                     mu_i = rational(mu[i]) if i < len(mu) else Q(0)
                     nu_i = rational(nu[i]) if i < len(nu) else Q(0)
                     blocks.append(_doubleprime_block(mu_i, nu_i))
-                mats.append(_block_diag(blocks))
+                mats.append(block_diagonal(blocks))
             block_actions.append(mats)
             block_forms.append(Matrix.diagonal(
                 per_block_gram[spec.kind] * len(spec.weights)))
@@ -176,8 +145,8 @@ def build_rep(specs: Sequence[RepFamilySpec], l: LieAlgebra) -> Representation:
 
     action = []
     for i in range(l.dim):
-        action.append(_block_diag([mats[i] for mats in block_actions]))
-    form = SymmetricForm(_block_diag(block_forms))
+        action.append(block_diagonal([mats[i] for mats in block_actions]))
+    form = SymmetricForm(block_diagonal(block_forms))
     total = sum(m.rows for m in block_forms)
     rep = Representation(l, tuple(action), form=form, validate=True,
                          module_dim=total)
@@ -219,24 +188,12 @@ def _invariant_symmetric_gram(action: Sequence[Matrix]) -> Matrix:
                                  "is indefinite")
     if neg:
         gram = gram.scale(-1)
-    denom = 1
-    for row in gram.data:
-        for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-    gram = gram.scale(denom)
-    ints = [abs(int(x)) for row in gram.data for x in row if x != 0]
-    g = 0
-    for v in ints:
-        g = _gcd(g, v)
+    gram = gram.scale(math.lcm(*(x.denominator for row in gram.data
+                                 for x in row)))
+    g = math.gcd(*(int(x) for row in gram.data for x in row))
     if g > 1:
         gram = gram.scale(Q(1, g))
     return gram
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _monomials3(k: int) -> List[Tuple[int, int, int]]:
@@ -383,8 +340,6 @@ def casimir(rep: Representation) -> Optional[Fraction]:
 def k_index_sets(m: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Partitions of m into parts 2k+1 (odd irreps) and 4k (quaternionic)."""
     out = []
-    odd_opts = [k for k in range(1, m // 2 + 1) if 2 * k + 1 <= m]
-    quat_opts = [k for k in range(1, m // 4 + 1)]
 
     def rec_quat(remaining, minimum, chosen, odd_part):
         if remaining == 0:
@@ -420,6 +375,12 @@ class CatalogRow:
     model: StandardModel
     modified_form: Optional[SymmetricForm]
     certificate: Tuple
+
+
+def _required(params: Dict, name: str):
+    if name not in params:
+        raise RowConstraintError(f"missing parameter $.params.{name}")
+    return params[name]
 
 
 def _sorted_positive(lam: Sequence) -> Tuple[Fraction, ...]:
@@ -507,7 +468,7 @@ def _row_n2_II(params):
 
 def _row_n2_III(params):
     lam = _sorted_positive(params.get("lam", ()))
-    r = rational(params["r"])
+    r = rational(_required(params, "r"))
     if r <= 0:
         raise RowConstraintError("parameter r must be positive")
     m = len(lam)
@@ -625,7 +586,7 @@ def _row_su2(params):
 
 def _row_R1_I(params):
     lam = _sorted_positive(params.get("lam", ()))
-    nu = rational(params["nu"])
+    nu = rational(_required(params, "nu"))
     if nu == 0:
         raise RowConstraintError("nu must be nonzero")
     l = base_algebra("R1")
@@ -648,7 +609,7 @@ def _row_R1_II(params):
 
 def _row_R1_III(params):
     lam = _sorted_positive(params.get("lam", ()))
-    mu = tuple(rational(x) for x in params["mu"])
+    mu = tuple(rational(x) for x in _required(params, "mu"))
     if len(mu) != 2 or mu[0] != 1 or mu[1] < 1:
         raise RowConstraintError("mu must be (1, mu2) with mu2 >= 1")
     l = base_algebra("R1")
@@ -810,8 +771,6 @@ def r2_I_certificate(lam: Sequence[Tuple[Fraction, Fraction]]) -> Tuple:
     m = len(lam)
     ys = tuple(w[0] for w in lam)
     zs = tuple(w[1] for w in lam)
-    wedge = tuple(ys[i] * zs[j] - ys[j] * zs[i]
-                  for i in range(m) for j in range(i + 1, m))
     best = None
     for perm, signs in _signed_perms(m):
         py = tuple(signs[i] * ys[perm[i]] for i in range(m))
@@ -865,7 +824,6 @@ def _h1_I_same(lam1, lam2) -> bool:
     y1 = tuple(w[1] for w in lam1)
     x2 = tuple(w[0] for w in lam2)
     y2 = tuple(w[1] for w in lam2)
-    span1 = Subspace.span(m, [x1, y1])
     span2 = Subspace.span(m, [x2, y2])
     for perm, signs in _signed_perms(m):
         px = tuple(signs[i] * x1[perm[i]] for i in range(m))
@@ -966,6 +924,11 @@ class SweepBounds:
     weight_num: int = 2
     weight_den: int = 1
 
+    def __post_init__(self):
+        if self.m < 0 or self.weight_num < 1 or self.weight_den < 1:
+            raise ValueError(f"sweep bounds need m >= 0, num >= 1 and "
+                             f"den >= 1, got {self}")
+
 
 @dataclass
 class RowResult:
@@ -1011,7 +974,6 @@ def _lambda_tuples(bounds: SweepBounds, m: int) -> List[Tuple[Fraction, ...]]:
 
 
 def _pair_grid(bounds: SweepBounds) -> List[Tuple[Fraction, Fraction]]:
-    reach = min(bounds.weight_num, 1)
     grid = [(Q(1), Q(0)), (Q(0), Q(1)), (Q(1), Q(1))]
     if bounds.weight_num >= 2:
         grid.append((Q(2), Q(1)))

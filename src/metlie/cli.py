@@ -18,10 +18,9 @@ from . import documents as doc
 from .catalog import (SweepBounds, catalog_row, non_isomorphism_certificate,
                       sweep)
 from .cohomology import CochainComplex, cocycle_defect, equivalent_cocycles
-from .lie import InternalCheckError, jacobi_check
+from .lie import InternalCheckError
 from .metric import (SimpleIdealError, canonical_extension, canonical_ideals,
                      metric_violation)
-from .modules import check_representation
 from .quadext import admissibility, build_model, is_balanced
 
 EXIT_OK = 0
@@ -66,12 +65,12 @@ def cmd_validate(args) -> int:
     kind, payload = doc.parse(_read(args.file))
     if kind == "lie":
         g = doc.lie_from_payload(payload, validate=False)
-        witness = jacobi_check(g)
+        witness = g.jacobi_witness()
         ok = witness is None
         detail = "" if ok else f"Jacobi fails at triple {witness[:3]}"
     elif kind == "metric":
         metric = doc.metric_from_payload(payload, validate=False)
-        witness = jacobi_check(metric.algebra)
+        witness = metric.algebra.jacobi_witness()
         if witness is not None:
             ok, detail = False, f"Jacobi fails at triple {witness[:3]}"
         else:
@@ -80,18 +79,18 @@ def cmd_validate(args) -> int:
             detail = problem or ""
     elif kind == "representation":
         rep = doc.representation_from_payload(payload, validate=False)
-        witness = jacobi_check(rep.algebra)
+        witness = rep.algebra.jacobi_witness()
         if witness is not None:
             ok, detail = False, f"Jacobi fails at triple {witness[:3]}"
         else:
-            problem = check_representation(rep)
+            problem = rep.violation()
             ok = problem is None
             detail = problem or ""
     elif kind == "cocycle":
         z = doc.cocycle_from_payload(payload, validate=False)
         cx = z.complex
-        witness = jacobi_check(cx.algebra)
-        problem = check_representation(cx.rep) if witness is None else \
+        witness = cx.algebra.jacobi_witness()
+        problem = cx.rep.violation() if witness is None else \
             f"Jacobi fails at triple {witness[:3]}"
         if problem is None:
             problem = cocycle_defect(cx, z.alpha, z.gamma)

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .lie import LieAlgebra, direct_sum
-from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector, lex_subsets,
-                     solve_affine, vec_add, vec_scale, zero_vector)
+from .lie import InternalCheckError, LieAlgebra, direct_sum
+from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector, block_diagonal,
+                     lex_subsets, solve_affine, vec_add, vec_scale,
+                     zero_vector)
 from .modules import Representation
 
 
@@ -249,13 +250,14 @@ class CochainComplex:
             raise ValueError("wedge arguments must take values in the module")
         p, q = a.degree, b.degree
         form = self.rep.form
+        shuffles = []
+        for left in itertools.combinations(range(p + q), p):
+            right = tuple(t for t in range(p + q) if t not in left)
+            shuffles.append((left, right, _sort_with_sign(left + right)[1]))
         out: Dict[Tuple[int, ...], Vector] = {}
         for subset in lex_subsets(self.n, p + q):
             total = Q(0)
-            for left in itertools.combinations(range(p + q), p):
-                right = tuple(t for t in range(p + q) if t not in left)
-                perm = left + right
-                sign = _permutation_sign(perm)
+            for left, right, sign in shuffles:
                 va = a.value(tuple(subset[t] for t in left))
                 vb = b.value(tuple(subset[t] for t in right))
                 total += sign * form.evaluate(va, vb)
@@ -321,15 +323,6 @@ class CochainComplex:
                 self.rep.form.gram.data if self.rep.form else None)
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 @dataclass(frozen=True)
 class QuadraticCochain:
     """Element (tau, sigma) of the group of quadratic (p-1)-cochains."""
@@ -339,11 +332,6 @@ class QuadraticCochain:
     @property
     def p(self) -> int:
         return self.tau.degree + 1
-
-
-def quadratic_identity(cx: CochainComplex, p: int = 2) -> QuadraticCochain:
-    return QuadraticCochain(cx.zero_cochain(p - 1),
-                            cx.zero_cochain(2 * p - 2, scalar=True))
 
 
 def q_star(cx: CochainComplex, c1: QuadraticCochain,
@@ -453,7 +441,6 @@ def equivalent_cocycles(z1: QuadraticCocycle, z2: QuadraticCocycle
     scalar = cx.scalar_complex()
     d_sigma_matrix = scalar.d_matrix(2 * p - 2)
     sigma_count = d_sigma_matrix.cols
-    kernel_count = len(kernel_cochains)
     columns = [d_sigma_matrix.column(j) for j in range(sigma_count)]
     columns += [cx.wedge(beta, k).coords for k in kernel_cochains]
     system = Matrix.from_columns(columns, rows=len(base_residual.coords))
@@ -467,7 +454,7 @@ def equivalent_cocycles(z1: QuadraticCocycle, z2: QuadraticCocycle
     witness = QuadraticCochain(tau, sigma)
     check = q_action(z2, witness, validate=False)
     if check.alpha != z1.alpha or check.gamma != z1.gamma:
-        raise RuntimeError("equivalence witness failed verification")
+        raise InternalCheckError("equivalence witness failed verification")
     return witness
 
 
@@ -570,26 +557,13 @@ def inner_automorphism(cx: CochainComplex, L: Vector) -> PairMorphism:
 def sum_pairs(cx1: CochainComplex, cx2: CochainComplex) -> CochainComplex:
     """Direct sum of pairs: algebras summed, modules orthogonally summed."""
     g = direct_sum(cx1.algebra, cx2.algebra)
-    n1, n2 = cx1.algebra.dim, cx2.algebra.dim
     m1, m2 = cx1.module_dim, cx2.module_dim
-    mats = []
-    for i in range(n1):
-        a = cx1.rep.action[i]
-        rows = [tuple(a.data[r]) + zero_vector(m2) for r in range(m1)]
-        rows += [zero_vector(m1 + m2) for _ in range(m2)]
-        mats.append(Matrix(rows, m1 + m2, m1 + m2))
-    for i in range(n2):
-        b = cx2.rep.action[i]
-        rows = [zero_vector(m1 + m2) for _ in range(m1)]
-        rows += [zero_vector(m1) + tuple(b.data[r]) for r in range(m2)]
-        mats.append(Matrix(rows, m1 + m2, m1 + m2))
+    mats = [block_diagonal((a, Matrix.zeros(m2, m2))) for a in cx1.rep.action]
+    mats += [block_diagonal((Matrix.zeros(m1, m1), b)) for b in cx2.rep.action]
     form = None
     if cx1.rep.form is not None and cx2.rep.form is not None:
-        rows = [tuple(cx1.rep.form.gram.data[r]) + zero_vector(m2)
-                for r in range(m1)]
-        rows += [zero_vector(m1) + tuple(cx2.rep.form.gram.data[r])
-                 for r in range(m2)]
-        form = SymmetricForm(Matrix(rows, m1 + m2, m1 + m2))
+        form = SymmetricForm(block_diagonal((cx1.rep.form.gram,
+                                             cx2.rep.form.gram)))
     rep = Representation(g, tuple(mats), form=form, validate=False,
                          module_dim=m1 + m2)
     return CochainComplex(g, rep)

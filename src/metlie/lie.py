@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector, rational,
-                     unit_vector, vec_add, vec_scale, zero_vector)
+from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
+                     block_coordinates, rational, unit_vector, vec_add,
+                     vec_scale, zero_vector)
 
 
 class JacobiError(ValueError):
@@ -53,9 +54,6 @@ class LieAlgebra:
             witness = self.jacobi_witness()
             if witness is not None:
                 raise JacobiError(witness)
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         out = zero_vector(self.dim)
@@ -120,10 +118,6 @@ class LieAlgebra:
 
 def abelian(n: int) -> LieAlgebra:
     return LieAlgebra(n, {}, validate=False)
-
-
-def jacobi_check(g: LieAlgebra) -> Optional[Tuple[int, int, int, Vector]]:
-    return g.jacobi_witness()
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
@@ -265,10 +259,6 @@ def solvable_radical(g: LieAlgebra) -> Subspace:
     return out
 
 
-def killing_and_radical(g: LieAlgebra) -> Tuple[SymmetricForm, Subspace]:
-    return killing_form(g), solvable_radical(g)
-
-
 class InternalCheckError(RuntimeError):
     """A paper-backed internal consistency identity failed: a bug, never data."""
 
@@ -320,11 +310,7 @@ def quotient_algebra(g: LieAlgebra, ideal: Subspace
         raise ValueError("quotient by a non-ideal")
     comp = ideal.complement_in(Subspace.full(g.dim))
     lift = Matrix.from_columns(comp.basis.data, rows=g.dim)
-    # projection: coordinates along the complement, killing the ideal
-    basis_change = Matrix.from_columns(ideal.basis.data + comp.basis.data,
-                                       rows=g.dim)
-    inv = basis_change.inverse()
-    proj = Matrix(inv.data[ideal.dim:], comp.dim, g.dim)
+    proj = block_coordinates((ideal.basis.data, comp.basis.data), 1, g.dim)
     brackets = {}
     for a in range(comp.dim):
         for b in range(a + 1, comp.dim):

@@ -54,10 +54,6 @@ def vec_scale(c: Fraction, v: Vector) -> Vector:
     return tuple(c * a if a else a for a in v)
 
 
-def vec_concat(u: Vector, v: Vector) -> Vector:
-    return tuple(u) + tuple(v)
-
-
 def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -285,10 +281,6 @@ class Matrix:
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
         return d
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(tuple(tuple(self.data[i][j] for j in col_idx) for i in row_idx),
-                      len(row_idx), len(col_idx))
-
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -296,6 +288,32 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
+    """The blocks placed along the diagonal, zeros elsewhere."""
+    cols = sum(b.cols for b in blocks)
+    rows = []
+    offset = 0
+    for b in blocks:
+        left, right = zero_vector(offset), zero_vector(cols - offset - b.cols)
+        rows.extend(left + r + right for r in b.data)
+        offset += b.cols
+    return Matrix(rows, len(rows), cols)
+
+
+def block_coordinates(blocks: Sequence[Sequence[Vector]], k: int,
+                      ambient: int) -> Matrix:
+    """Coordinates along block k of the direct sum Q^ambient = ⊕ span(blocks).
+
+    The rows of the inverse basis change that belong to block k: the result
+    kills every other block and sends block k's vectors to unit vectors.
+    """
+    inv = Matrix.from_columns(tuple(v for b in blocks for v in b),
+                              rows=ambient).inverse()
+    start = sum(len(b) for b in blocks[:k])
+    size = len(blocks[k])
+    return Matrix(inv.data[start:start + size], size, ambient)
 
 
 class Subspace:

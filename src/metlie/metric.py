@@ -10,13 +10,14 @@ cocycle from any metric Lie algebra without simple ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Tuple
 
 from .cohomology import Cochain, CochainComplex, QuadraticCocycle
 from .lie import (InternalCheckError, LieAlgebra, is_ideal,
                   quotient_algebra, solvable_radical, subalgebra_restriction,
                   unit_vector)
-from .linalg import (Matrix, Q, Subspace, SymmetricForm,
+from .linalg import (Matrix, Q, Subspace, SymmetricForm, block_coordinates,
                      orthogonal_complement, signature, vec_scale, vec_sub)
 from .modules import (ModuleFiltration, Representation, adjoint_representation,
                       filtration)
@@ -72,24 +73,26 @@ def metric_violation(g: LieAlgebra, form: SymmetricForm) -> Optional[str]:
     """First degeneracy or invariance failure, or None when valid."""
     if not form.is_nondegenerate():
         return "form is degenerate"
-    # invariance <[x,z],y> = <x,[z,y]> on all basis triples
+    witness = invariance_witness(g, form)
+    if witness is None:
+        return None
+    i, k, j, lhs, rhs = witness
+    return (f"invariance fails on basis triple ({i},{k},{j}): "
+            f"<[e{i},e{k}],e{j}> = {lhs} but <e{i},[e{k},e{j}]> = {rhs}")
+
+
+def invariance_witness(g: LieAlgebra, form: SymmetricForm
+                       ) -> Optional[Tuple[int, int, int, Fraction, Fraction]]:
+    """First basis triple (i, k, j) with <[e_i,e_k],e_j> != <e_i,[e_k,e_j]>,
+    with both sides, or None when the form (degenerate or not) is invariant."""
     for i in range(g.dim):
         for j in range(g.dim):
             for k in range(g.dim):
                 lhs = form.evaluate(g.table[i][k], unit_vector(g.dim, j))
                 rhs = form.evaluate(unit_vector(g.dim, i), g.table[k][j])
                 if lhs != rhs:
-                    return (f"invariance fails on basis triple ({i},{k},{j}): "
-                            f"<[e{i},e{k}],e{j}> = {lhs} but <e{i},[e{k},e{j}]> = {rhs}")
+                    return i, k, j, lhs, rhs
     return None
-
-
-def validate_metric(g: LieAlgebra, form: SymmetricForm) -> MetricLieAlgebra:
-    return MetricLieAlgebra(g, form)
-
-
-def index(metric: MetricLieAlgebra) -> int:
-    return metric.index()
 
 
 @dataclass(frozen=True)
@@ -247,11 +250,9 @@ def extension_from_ideal(metric: MetricLieAlgebra, iso: Subspace,
     m = a_space.dim
     a_lift = Matrix.from_columns(a_space.basis.data, rows=g.dim)
     # projection perp -> a-coordinates killing iso
-    change = Matrix.from_columns(iso.basis.data + a_space.basis.data +
-                                 _extension_complement(g, perp).basis.data,
-                                 rows=g.dim)
-    inv = change.inverse()
-    a_proj = Matrix(inv.data[iso.dim: iso.dim + m], m, g.dim)
+    a_proj = block_coordinates(
+        (iso.basis.data, a_space.basis.data,
+         perp.complement_in(Subspace.full(g.dim)).basis.data), 1, g.dim)
 
     gram = Matrix(tuple(tuple(metric.form.evaluate(u, v)
                               for v in a_space.basis.data)
@@ -273,31 +274,32 @@ def extension_from_ideal(metric: MetricLieAlgebra, iso: Subspace,
                 for t in range(m)]
         action.append(Matrix.from_columns(cols, rows=m))
     module = Representation(base, tuple(action), form=a_form, validate=True)
-    cx = CochainComplex(base, module)
-
-    alpha_vals = {}
-    gamma_vals = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = g.bracket(section.column(i), section.column(j))
-            base_part = base_proj.apply(w)
-            residual = vec_sub(w, section.apply(base_part))
-            alpha_vals[(i, j)] = a_proj.apply(residual)
-            for k in range(j + 1, n):
-                gamma_vals[(i, j, k)] = (metric.form.evaluate(
-                    g.bracket(section.column(i), section.column(j)),
-                    section.column(k)),)
-    alpha = Cochain.from_values(n, 2, m, alpha_vals)
-    gamma = Cochain.from_values(n, 3, 1, gamma_vals)
-    cocycle = QuadraticCocycle(cx, alpha, gamma, validate=True)
-
+    cocycle = _section_cocycle(metric, CochainComplex(base, module), section,
+                               base_proj, a_proj)
     return ExtensionData(metric=metric, base=base, module=module, ideal=iso,
                          perp=perp, section=section, a_lift=a_lift,
                          base_projection=base_proj, cocycle=cocycle)
 
 
-def _extension_complement(g: LieAlgebra, perp: Subspace) -> Subspace:
-    return perp.complement_in(Subspace.full(g.dim))
+def _section_cocycle(metric: MetricLieAlgebra, cx: CochainComplex,
+                     section: Matrix, base_proj: Matrix,
+                     a_proj: Matrix) -> QuadraticCocycle:
+    """alpha(x, y) = a-part of [s x, s y], gamma(x, y, w) = <[s x, s y], s w>."""
+    g = metric.algebra
+    n, m = cx.n, cx.module_dim
+    cols = [section.column(i) for i in range(n)]
+    alpha_vals = {}
+    gamma_vals = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = g.bracket(cols[i], cols[j])
+            residual = vec_sub(w, section.apply(base_proj.apply(w)))
+            alpha_vals[(i, j)] = a_proj.apply(residual)
+            for k in range(j + 1, n):
+                gamma_vals[(i, j, k)] = (metric.form.evaluate(w, cols[k]),)
+    alpha = Cochain.from_values(n, 2, m, alpha_vals)
+    gamma = Cochain.from_values(n, 3, 1, gamma_vals)
+    return QuadraticCocycle(cx, alpha, gamma, validate=True)
 
 
 def extract_cocycle(data: ExtensionData,
@@ -315,30 +317,12 @@ def extract_cocycle(data: ExtensionData,
     check = data.base_projection @ section
     if check != Matrix.identity(n):
         raise ValueError("section does not split the base projection")
-    sec_space = Subspace.span(g.dim, tuple(section.column(i) for i in range(n)))
-    if not metric.form.is_isotropic(sec_space):
+    sec_cols = section.transpose().data
+    if not metric.form.is_isotropic(Subspace.span(g.dim, sec_cols)):
         raise ValueError("section image is not isotropic")
 
-    m = data.module.module_dim
-    change = Matrix.from_columns(
-        data.ideal.basis.data +
-        tuple(data.a_lift.column(t) for t in range(m)) +
-        tuple(section.column(i) for i in range(n)), rows=g.dim)
-    inv = change.inverse()
-    a_proj = Matrix(inv.data[data.ideal.dim: data.ideal.dim + m], m, g.dim)
-
-    alpha_vals = {}
-    gamma_vals = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = g.bracket(section.column(i), section.column(j))
-            base_part = data.base_projection.apply(w)
-            residual = vec_sub(w, section.apply(base_part))
-            alpha_vals[(i, j)] = a_proj.apply(residual)
-            for k in range(j + 1, n):
-                gamma_vals[(i, j, k)] = (metric.form.evaluate(
-                    g.bracket(section.column(i), section.column(j)),
-                    section.column(k)),)
-    alpha = Cochain.from_values(n, 2, m, alpha_vals)
-    gamma = Cochain.from_values(n, 3, 1, gamma_vals)
-    return QuadraticCocycle(data.complex, alpha, gamma, validate=True)
+    a_proj = block_coordinates(
+        (data.ideal.basis.data, data.a_lift.transpose().data, sec_cols),
+        1, g.dim)
+    return _section_cocycle(metric, data.complex, section,
+                            data.base_projection, a_proj)

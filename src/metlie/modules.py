@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from . import polynomials as poly
-from .lie import IdealChain, LieAlgebra, nilpotency_radical, quotient_algebra, center
-from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector, unit_vector,
-                     zero_vector)
+from .lie import (IdealChain, InternalCheckError, LieAlgebra, center,
+                  nilpotency_radical, quotient_algebra)
+from .linalg import (Matrix, Subspace, SymmetricForm, Vector, block_coordinates,
+                     block_diagonal, unit_vector)
 
 
 class Representation:
@@ -105,10 +106,6 @@ class Representation:
                 f"dim {self.algebra.dim})")
 
 
-def check_representation(rep: Representation) -> Optional[str]:
-    return rep.violation()
-
-
 def trivial_representation(g: LieAlgebra, m: int,
                            form: Optional[SymmetricForm] = None) -> Representation:
     zero = Matrix.zeros(m, m)
@@ -165,10 +162,8 @@ def quotient_representation(rep: Representation, U: Subspace
         raise ValueError("not a submodule")
     comp = U.complement_in(Subspace.full(rep.module_dim))
     lift = Matrix.from_columns(comp.basis.data, rows=rep.module_dim)
-    basis_change = Matrix.from_columns(U.basis.data + comp.basis.data,
-                                       rows=rep.module_dim)
-    inv = basis_change.inverse()
-    proj = Matrix(inv.data[U.dim:], comp.dim, rep.module_dim)
+    proj = block_coordinates((U.basis.data, comp.basis.data), 1,
+                             rep.module_dim)
     mats = tuple(proj @ a @ lift for a in rep.action)
     return Representation(rep.algebra, mats, validate=False), proj, lift
 
@@ -179,19 +174,12 @@ def direct_sum_representations(r1: Representation, r2: Representation,
     g = algebra if algebra is not None else r1.algebra
     if r1.algebra != g or r2.algebra != g:
         raise ValueError("representations of different algebras")
-    m1, m2 = r1.module_dim, r2.module_dim
-    mats = []
-    for a, b in zip(r1.action, r2.action):
-        rows = [tuple(a.data[i]) + zero_vector(m2) for i in range(m1)]
-        rows += [zero_vector(m1) + tuple(b.data[i]) for i in range(m2)]
-        mats.append(Matrix(rows, m1 + m2, m1 + m2))
+    mats = tuple(block_diagonal((a, b)) for a, b in zip(r1.action, r2.action))
     form = None
     if r1.form is not None and r2.form is not None:
-        rows = [tuple(r1.form.gram.data[i]) + zero_vector(m2) for i in range(m1)]
-        rows += [zero_vector(m1) + tuple(r2.form.gram.data[i]) for i in range(m2)]
-        form = SymmetricForm(Matrix(rows, m1 + m2, m1 + m2))
-    return Representation(g, tuple(mats), form=form, validate=False,
-                          module_dim=m1 + m2)
+        form = SymmetricForm(block_diagonal((r1.form.gram, r2.form.gram)))
+    return Representation(g, mats, form=form, validate=False,
+                          module_dim=r1.module_dim + r2.module_dim)
 
 
 def submodule_generated(rep: Representation, vectors: Sequence[Vector]) -> Subspace:
@@ -218,10 +206,6 @@ def _central_lifts(g: LieAlgebra, nilrad: Subspace) -> Tuple[Vector, ...]:
     return out
 
 
-def _image_of_subspace(mat: Matrix, W: Subspace) -> Subspace:
-    return Subspace.span(mat.rows, tuple(mat.apply(w) for w in W.basis.data))
-
-
 def _radical_once(rep: Representation, W: Subspace,
                   nilrad: Subspace, lifts: Tuple[Vector, ...]) -> Subspace:
     m = rep.module_dim
@@ -231,15 +215,11 @@ def _radical_once(rep: Representation, W: Subspace,
         pieces.extend(mat.apply(w) for w in W.basis.data)
     base = Subspace.span(m, pieces)
 
-    if lifts and W.dim > 0:
-        # quotient of W by rho(N)W, with induced central actions
-        sub_rep, inclusion = sub_representation(rep, W)
-        base_in_W = Subspace.span(W.dim,
-                                  [W.coordinates(v) for v in base.basis.data])
-        qrep, proj, lift = quotient_representation(sub_rep, base_in_W)
+    # quotient of W by rho(N)W, with induced central actions
+    qspace = _quotient_module_on(rep, W, base) if lifts else None
+    if qspace is not None:
         for z in lifts:
-            induced = proj @ sub_rep.rho(z) @ lift
-            s = poly.squarefree_part(poly.minimal_polynomial(induced))
+            s = poly.squarefree_part(poly.minimal_polynomial(qspace[0].rho(z)))
             mat = poly.evaluate_matrix(s, rep.rho(z))
             pieces.extend(mat.apply(w) for w in W.basis.data)
     return Subspace.span(m, pieces)
@@ -323,14 +303,16 @@ def filtration(rep: Representation) -> ModuleFiltration:
         lifted = [lift.apply(v) for v in s.basis.data]
         nxt = socles[-1].add(Subspace.span(rep.module_dim, lifted))
         if nxt == socles[-1]:
-            raise RuntimeError("socle chain stalled before reaching the module")
+            raise InternalCheckError(
+                "socle chain stalled before reaching the module")
         socles.append(nxt)
 
     radicals = [V]
     while radicals[-1].dim > 0:
         nxt = module_radical(rep, radicals[-1])
         if nxt == radicals[-1]:
-            raise RuntimeError("radical chain stalled before reaching zero")
+            raise InternalCheckError(
+                "radical chain stalled before reaching zero")
         radicals.append(nxt)
 
     out = ModuleFiltration(IdealChain(tuple(socles), increasing=True),
@@ -357,11 +339,3 @@ def invariant_split(rep: Representation) -> Tuple[Subspace, Subspace]:
     image_rows = [a.apply(unit_vector(m, j)) for a in rep.action for j in range(m)]
     complement = Subspace.span(m, image_rows)
     return invariants, complement
-
-
-def dual_and_sub_quotient(rep: Representation, U: Subspace):
-    """Convenience bundle: dual, sub on U (with inclusion), quotient (proj, lift)."""
-    dual = dual_representation(rep)
-    sub, inclusion = sub_representation(rep, U)
-    quot, proj, lift = quotient_representation(rep, U)
-    return dual, (sub, inclusion), (quot, proj, lift)

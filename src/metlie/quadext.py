@@ -11,17 +11,19 @@ for the base-algebra shapes where complete case analysis is available.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .cohomology import (Cochain, CochainComplex, QuadraticCochain,
-                         QuadraticCocycle, equivalent_cocycles)
+from .cohomology import (Cochain, CochainComplex, NotACocycleError,
+                         QuadraticCochain, QuadraticCocycle,
+                         equivalent_cocycles)
 from .lie import (InternalCheckError, LieAlgebra, center,
                   derived_subalgebra)
-from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector, lex_subsets,
-                     orthogonal_complement, unit_vector, vec_add, vec_scale,
-                     zero_vector)
-from .metric import MetricLieAlgebra, canonical_ideals
+from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
+                     block_coordinates, lex_subsets, orthogonal_complement,
+                     unit_vector, vec_add, vec_scale, zero_vector)
+from .metric import MetricLieAlgebra, canonical_ideals, invariance_witness
 from .modules import (Representation, adjoint_representation, filtration,
                       invariant_split, is_semisimple, module_socle,
                       quotient_representation, sub_representation)
@@ -49,13 +51,12 @@ def _model_table(cx: CochainComplex, alpha: Cochain, gamma: Cochain
     l = cx.algebra
     rep = cx.rep
     n, m = l.dim, rep.module_dim
-    N = 2 * n + m
     gram = rep.form.gram
 
     def embed(z_part, a_part, l_part):
         return tuple(z_part) + tuple(a_part) + tuple(l_part)
 
-    zero_z, zero_a, zero_l = zero_vector(n), zero_vector(m), zero_vector(n)
+    zero_a, zero_l = zero_vector(m), zero_vector(n)
     brackets: Dict[Tuple[int, int], Vector] = {}
 
     # [Z_a, L_i] = -ad*(L_i) Z_a; (ad*(L)Z)(L') = -Z([L, L'])
@@ -140,26 +141,6 @@ def build_model(z: QuadraticCocycle, force: bool = False) -> StandardModel:
                          base_block=range(n + m, 2 * n + m))
 
 
-def raw_model_table(cx: CochainComplex, alpha: Cochain, gamma: Cochain
-                    ) -> Tuple[LieAlgebra, SymmetricForm]:
-    """Unvalidated model data for arbitrary (alpha, gamma), cocycle or not."""
-    brackets = _model_table(cx, alpha, gamma)
-    algebra = LieAlgebra(2 * cx.algebra.dim + cx.rep.module_dim, brackets,
-                         validate=False)
-    return algebra, _model_form(cx)
-
-
-def _invariance_violation(l: LieAlgebra, ip: SymmetricForm) -> Optional[str]:
-    for i in range(l.dim):
-        for j in range(l.dim):
-            for k in range(l.dim):
-                lhs = ip.evaluate(l.table[i][k], unit_vector(l.dim, j))
-                rhs = ip.evaluate(unit_vector(l.dim, i), l.table[k][j])
-                if lhs != rhs:
-                    return f"({i},{k},{j})"
-    return None
-
-
 def build_modified(z: QuadraticCocycle, ip_l: SymmetricForm
                    ) -> Tuple[StandardModel, Matrix, StandardModel]:
     """Model with form <,> + ip_l on the base block.
@@ -172,9 +153,11 @@ def build_modified(z: QuadraticCocycle, ip_l: SymmetricForm
     l = cx.algebra
     if ip_l.dim != l.dim:
         raise ValueError("ip_l has the wrong dimension")
-    bad = _invariance_violation(l, ip_l)
+    # ip_l may be degenerate (the zero form is allowed), so only invariance
+    bad = invariance_witness(l, ip_l)
     if bad is not None:
-        raise ValueError(f"ip_l is not invariant (triple {bad})")
+        raise ValueError(f"ip_l is not invariant (triple ({bad[0]},{bad[1]},"
+                         f"{bad[2]}))")
     n, m = l.dim, cx.rep.module_dim
     N = 2 * n + m
     brackets = _model_table(cx, z.alpha, z.gamma)
@@ -461,15 +444,10 @@ def alpha0_kernel_image(z: QuadraticCocycle) -> Subspace:
     n, m = l.dim, rep.module_dim
     inv, img = invariant_split(rep)
     # projection onto a^l along rho(l)a
-    change_cols = inv.basis.data + img.basis.data
-    if len(change_cols) != m:
+    if inv.dim + img.dim != m:
         raise InternalCheckError("invariant split is not a direct sum")
-    if m:
-        change = Matrix.from_columns(change_cols, rows=m)
-        inv_coords = Matrix(change.inverse().data[:inv.dim], inv.dim, m)
-        proj0 = Matrix.from_columns(inv.basis.data, rows=m) @ inv_coords
-    else:
-        proj0 = Matrix.zeros(0, 0)
+    proj0 = Matrix.from_columns(inv.basis.data, rows=m) @ \
+        block_coordinates((inv.basis.data, img.basis.data), 0, m)
     pairs = lex_subsets(n, 2)
     if not pairs:
         return Subspace.zero(m)
@@ -674,10 +652,7 @@ def _rational_roots(p) -> List[Q]:
     p = poly.normalize(p)
     if not p:
         return []
-    denominators = 1
-    for c in p:
-        denominators = denominators * c.denominator // \
-            _gcd_int(denominators, c.denominator)
+    denominators = math.lcm(*(c.denominator for c in p))
     ints = [int(c * denominators) for c in p]
     while ints and ints[0] == 0:
         ints = ints[1:]
@@ -696,12 +671,6 @@ def _rational_roots(p) -> List[Q]:
     if sum(1 for c in p if c != 0) == 1 or p[0] == 0:
         roots.add(Q(0))
     return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def _divisors(n: int) -> List[int]:
@@ -855,6 +824,6 @@ def _class_supported_blockwise(z: QuadraticCocycle, left, right,
         candidate = QuadraticCocycle(
             cx, Cochain.from_values(n, 2, m, alpha_vals),
             Cochain.from_values(n, 3, 1, gamma_vals))
-    except Exception:
+    except NotACocycleError:
         return False
     return equivalent_cocycles(z, candidate) is not None

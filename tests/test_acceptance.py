@@ -14,7 +14,6 @@ from metlie import (Cochain, CochainComplex, Matrix, QuadraticCochain,
                     q_action, trivial_representation)
 from metlie.catalog import (SweepBounds, base_algebra, catalog_row,
                             non_isomorphism_certificate, sweep)
-from metlie.lie import jacobi_check
 from metlie.modules import filtration
 from metlie.quadext import build_model
 
@@ -88,7 +87,7 @@ def test_criterion_02_model_jacobi_iff_cocycle():
                 non_cocycle_count += 1
             candidate = QuadraticCocycle(cx, alpha, gamma, validate=False)
             model = build_model(candidate, force=True)
-            assert (jacobi_check(model.metric.algebra) is None) == is_cocycle
+            assert (model.metric.algebra.jacobi_witness() is None) == is_cocycle
         assert cocycle_count >= 10 and non_cocycle_count >= 10
     assert time.time() - started < 30.0
     report(2, "Jacobi iff quadratic cocycle, 100 random draws x 3 pairs",

@@ -3,8 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from metlie import (Matrix, Subspace, adjoint_representation,
-                    admissibility, center, check_representation,
-                    nilpotency_radical, signature)
+                    admissibility, center, nilpotency_radical, signature)
 from metlie.catalog import (RepFamilySpec, RowConstraintError, SweepBounds,
                             base_algebra, build_rep, casimir, catalog_row,
                             k_index_sets, non_isomorphism_certificate,
@@ -58,7 +57,7 @@ class TestRepFamilies:
         assert rep.action[0] == Matrix([[0, -2, 1, 0], [2, 0, 0, 1],
                                         [1, 0, 0, -2], [0, 1, 2, 0]])
         assert signature(rep.form) == (2, 0, 2)
-        assert check_representation(rep) is None
+        assert rep.violation() is None
 
     def test_rho_prime_skew_for_signed_form(self):
         l = base_algebra("R2")
@@ -70,7 +69,7 @@ class TestRepFamilies:
     def test_sigma1_is_the_adjoint_representation(self, su2):
         rep = su2_odd_irrep(1, su2)
         assert rep.module_dim == 3
-        assert check_representation(rep) is None
+        assert rep.violation() is None
         # dimension-3 orthogonal irrep of su(2) is the adjoint one; the
         # Casimir eigenvalue matches the adjoint computation exactly
         ad = adjoint_representation(su2)
@@ -83,7 +82,7 @@ class TestRepFamilies:
         for k in (1, 2, 3):
             rep = su2_odd_irrep(k, su2)
             assert rep.module_dim == 2 * k + 1
-            assert check_representation(rep) is None
+            assert rep.violation() is None
             value = casimir(rep)
             assert value is not None
             assert value == -Q(k * (k + 1))
@@ -94,7 +93,7 @@ class TestRepFamilies:
         for k in (1, 2):
             rep = su2_quaternionic_irrep(k, su2)
             assert rep.module_dim == 4 * k
-            assert check_representation(rep) is None
+            assert rep.violation() is None
             value = casimir(rep)
             assert value is not None
             # spin j = (2k-1)/2: eigenvalue -j(j+1)

@@ -111,6 +111,20 @@ class TestExitCodes:
     def test_missing_file_exit_two(self):
         assert main(["analyze", "/nonexistent/nothing.json"]) == 2
 
+    def test_failed_witness_check_exit_three(self, workspace, monkeypatch,
+                                             capsys):
+        # a witness that no longer maps the second cocycle onto the first
+        import metlie.cohomology
+        monkeypatch.setattr(metlie.cohomology, "q_action",
+                            lambda z, c, validate=True: z)
+        assert main(["equivalent", str(workspace["n2II"]),
+                     str(workspace["n2IIm"])]) == 3
+        assert "internal cross-check failure" in capsys.readouterr().err
+
+    def test_impossible_sweep_bounds_exit_two(self, capsys):
+        assert main(["--json", "sweep", "--bounds", "m=-1"]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_validate_good_documents(self, workspace):
         assert main(["validate", str(workspace["metric"])]) == 0
         assert main(["validate", str(workspace["rep"])]) == 0
@@ -161,9 +175,18 @@ class TestPipelines:
         names = {c["name"] for c in payload["controls"]}
         assert names == {"n2-zero-class", "h1-gamma-class", "r3m2-example"}
 
-    def test_row_constraint_violation_exit_two(self, capsys):
-        assert main(["catalog", "n2", "III",
-                     "--params", '{"lam": [], "r": "-1"}']) == 2
+    @pytest.mark.parametrize("base, variant, params, path", [
+        ("n2", "III", '{"lam": [], "r": "-1"}', None),
+        ("n2", "III", '{"lam": ["1"]}', "$.params.r"),
+        ("R1", "I", '{"lam": ["1"]}', "$.params.nu"),
+        ("R1", "III", '{"lam": ["1"]}', "$.params.mu"),
+    ], ids=["n2-III-negative-r", "n2-III-missing-r", "R1-I-missing-nu",
+            "R1-III-missing-mu"])
+    def test_row_constraint_violation_exit_two(self, capsys, base, variant,
+                                               params, path):
+        assert main(["catalog", base, variant, "--params", params]) == 2
+        if path is not None:
+            assert path in capsys.readouterr().err
 
 
 class TestValidateVerdicts:
@@ -200,7 +223,7 @@ class TestValidateVerdicts:
         assert main(["validate", str(f)]) == 1
 
     def test_analyze_reports_simple_ideal(self, tmp_path, capsys):
-        from metlie import direct_sum, killing_form, validate_metric, abelian
+        from metlie import direct_sum, killing_form, MetricLieAlgebra, abelian
         from metlie import Matrix as M, SymmetricForm as SF
         sl2 = base_algebra("sl2r")
         g = direct_sum(sl2, abelian(2))
@@ -208,7 +231,7 @@ class TestValidateVerdicts:
         gram = M([[kf[i, j] if i < 3 and j < 3 else
                    (1 if (i == j and i >= 3) else 0)
                    for j in range(5)] for i in range(5)])
-        metric = validate_metric(g, SF(gram))
+        metric = MetricLieAlgebra(g, SF(gram))
         f = tmp_path / "withsimple.json"
         f.write_text(doc.dump_metric(metric))
         assert main(["analyze", str(f)]) == 0

@@ -5,8 +5,8 @@ import pytest
 
 from metlie import (CochainComplex, LieAlgebra, QuadraticCocycle,
                     SymmetricForm, abelian, adjoint_representation,
-                    canonical_extension, killing_form,
-                    trivial_representation, validate_metric)
+                    MetricLieAlgebra, canonical_extension, killing_form,
+                    trivial_representation)
 from metlie import documents as doc
 from metlie.catalog import base_algebra, catalog_row
 
@@ -43,8 +43,8 @@ class TestRoundTrips:
             assert doc.dump_lie(back) == doc.dump_lie(g)
 
     def test_metric_fuzz(self, rng, sl2):
-        metrics = [validate_metric(sl2, killing_form(sl2)),
-                   validate_metric(abelian(3), SymmetricForm.euclidean(3))]
+        metrics = [MetricLieAlgebra(sl2, killing_form(sl2)),
+                   MetricLieAlgebra(abelian(3), SymmetricForm.euclidean(3))]
         for m in metrics:
             kind, back = doc.load(doc.dump_metric(m))
             assert kind == "metric"

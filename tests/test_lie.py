@@ -3,9 +3,9 @@ from fractions import Fraction as Q
 import pytest
 
 from metlie import (JacobiError, LieAlgebra, Matrix, Subspace, abelian,
-                    center, derived_subalgebra, direct_sum, jacobi_check,
-                    killing_and_radical, killing_form, nilpotency_radical,
-                    signature, solvable_radical, structure_report)
+                    center, derived_subalgebra, direct_sum, killing_form,
+                    nilpotency_radical, signature, solvable_radical,
+                    structure_report)
 from metlie.lie import bracket_subspace, is_ideal, quotient_algebra
 from metlie.linalg import unit_vector
 
@@ -39,10 +39,10 @@ def cyclic_sum_oracle(table, dim):
 
 class TestJacobi:
     def test_abelian(self):
-        assert jacobi_check(abelian(3)) is None
+        assert abelian(3).jacobi_witness() is None
 
     def test_heisenberg(self, h1):
-        assert jacobi_check(h1) is None
+        assert h1.jacobi_witness() is None
 
     def test_tampered_table_matches_oracle(self):
         # [X,Y] = Z, [X,Z] = X, [Y,Z] = Y
@@ -56,13 +56,13 @@ class TestJacobi:
             with pytest.raises(JacobiError):
                 LieAlgebra(3, table)
             g = LieAlgebra(3, table, validate=False)
-            assert jacobi_check(g) is not None
+            assert g.jacobi_witness() is not None
 
     def test_witness_has_defect(self):
         table = {(0, 1): (Q(0), Q(0), Q(1)), (0, 2): (Q(1), Q(0), Q(0)),
                  (1, 2): (Q(0), Q(1), Q(0))}
         g = LieAlgebra(3, table, validate=False)
-        witness = jacobi_check(g)
+        witness = g.jacobi_witness()
         assert witness is not None
         i, j, k, defect = witness
         assert any(x != 0 for x in defect)
@@ -97,17 +97,17 @@ class TestStructureReport:
 
 class TestKillingAndRadical:
     def test_sl2_semisimple(self, sl2):
-        killing, radical = killing_and_radical(sl2)
+        killing, radical = killing_form(sl2), solvable_radical(sl2)
         assert radical.dim == 0
         assert signature(killing) == (1, 0, 2)
 
     def test_solvable_is_whole(self, n2):
-        _, radical = killing_and_radical(n2)
+        radical = solvable_radical(n2)
         assert radical == Subspace.full(3)
 
     def test_block_sum(self, sl2):
         g = direct_sum(sl2, abelian(1))
-        _, radical = killing_and_radical(g)
+        radical = solvable_radical(g)
         assert radical == Subspace.span(4, [unit_vector(4, 3)])
 
 

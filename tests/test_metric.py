@@ -2,12 +2,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from metlie import (CochainComplex, LieAlgebra, Matrix, QuadraticCocycle,
-                    SimpleIdealError, Subspace, SymmetricForm, abelian,
-                    canonical_extension, canonical_ideals, direct_sum,
-                    equivalent_cocycles, extract_cocycle, find_simple_ideal,
-                    index, killing_form, metric_violation,
-                    orthogonal_complement, signature, validate_metric)
+from metlie import (CochainComplex, LieAlgebra, Matrix, MetricLieAlgebra,
+                    QuadraticCocycle, SimpleIdealError, Subspace,
+                    SymmetricForm, abelian, canonical_extension,
+                    canonical_ideals, direct_sum, equivalent_cocycles,
+                    extract_cocycle, find_simple_ideal, killing_form,
+                    metric_violation, orthogonal_complement, signature)
 from metlie.linalg import unit_vector
 
 from conftest import rotation_rep
@@ -20,7 +20,7 @@ def oscillator():
                        (2, 3): [0, 1, 0, 0]})
     form = SymmetricForm(Matrix([[0, 0, 0, 1], [0, 1, 0, 0],
                                  [0, 0, 1, 0], [1, 0, 0, 0]]))
-    return validate_metric(g, form)
+    return MetricLieAlgebra(g, form)
 
 
 def sl2_semidirect(sl2, c=Q(0)):
@@ -45,17 +45,17 @@ def sl2_semidirect(sl2, c=Q(0)):
             for cidx in range(3):
                 row[3 + cidx] += c * kf[r - 3, cidx]
         rows.append(row)
-    return validate_metric(g, SymmetricForm(Matrix(rows, 6, 6)))
+    return MetricLieAlgebra(g, SymmetricForm(Matrix(rows, 6, 6)))
 
 
 class TestValidateMetric:
     def test_abelian_euclidean(self):
-        m = validate_metric(abelian(2), SymmetricForm.euclidean(2))
+        m = MetricLieAlgebra(abelian(2), SymmetricForm.euclidean(2))
         assert m.dim == 2
 
     def test_sl2_with_killing(self, sl2):
         # invariance of the Killing form is itself an exact identity
-        m = validate_metric(sl2, killing_form(sl2))
+        m = MetricLieAlgebra(sl2, killing_form(sl2))
         assert m.index() == 1
 
     def test_h1_identity_form_rejected(self, h1):
@@ -63,21 +63,21 @@ class TestValidateMetric:
         assert witness is not None
         # oracle: <[X,Y],Z> = 1 but <X,[Y,Z]> = 0
         with pytest.raises(ValueError):
-            validate_metric(h1, SymmetricForm.euclidean(3))
+            MetricLieAlgebra(h1, SymmetricForm.euclidean(3))
 
     def test_degenerate_form_rejected(self, n2):
         with pytest.raises(ValueError):
-            validate_metric(abelian(2),
-                            SymmetricForm(Matrix([[1, 0], [0, 0]])))
+            MetricLieAlgebra(abelian(2),
+                             SymmetricForm(Matrix([[1, 0], [0, 0]])))
 
 
 class TestIndex:
     def test_euclidean_abelian(self):
-        assert index(validate_metric(abelian(3),
-                                     SymmetricForm.euclidean(3))) == 0
+        assert MetricLieAlgebra(abelian(3),
+                                SymmetricForm.euclidean(3)).index() == 0
 
     def test_sl2_killing_index_one(self, sl2):
-        assert index(validate_metric(sl2, killing_form(sl2))) == 1
+        assert MetricLieAlgebra(sl2, killing_form(sl2)).index() == 1
 
     def test_model_index_is_base_dimension(self, n2):
         # hyperbolic pairing contributes dim l negatives over a Euclidean a
@@ -90,7 +90,7 @@ class TestIndex:
 
 class TestCanonicalIdeals:
     def test_abelian(self):
-        m = validate_metric(abelian(2), SymmetricForm.euclidean(2))
+        m = MetricLieAlgebra(abelian(2), SymmetricForm.euclidean(2))
         ids = canonical_ideals(m)
         assert ids.isotropic.dim == 0
         assert ids.coisotropic == Subspace.full(2)
@@ -131,7 +131,7 @@ class TestCanonicalIdeals:
         gram = Matrix([[m1.form.gram[i % 4, j % 4]
                         if (i < 4) == (j < 4) else Q(0)
                         for j in range(8)] for i in range(8)])
-        m = validate_metric(g, SymmetricForm(gram))
+        m = MetricLieAlgebra(g, SymmetricForm(gram))
         ids = canonical_ideals(m)
         assert ids.isotropic == Subspace.span(
             8, [unit_vector(8, 0), unit_vector(8, 4)])
@@ -144,7 +144,7 @@ class TestSimpleIdeals:
         gram = Matrix([[kf[i, j] if i < 3 and j < 3 else
                         (Q(1) if (i == j and i >= 3) else Q(0))
                         for j in range(5)] for i in range(5)])
-        m = validate_metric(g, SymmetricForm(gram))
+        m = MetricLieAlgebra(g, SymmetricForm(gram))
         ids = canonical_ideals(m)
         assert ids.simple_ideal is not None
         assert ids.simple_ideal.dim == 3
@@ -160,7 +160,7 @@ class TestSimpleIdeals:
 
 class TestCanonicalExtension:
     def test_abelian_nondegenerate(self):
-        m = validate_metric(abelian(3), SymmetricForm.euclidean(3))
+        m = MetricLieAlgebra(abelian(3), SymmetricForm.euclidean(3))
         ext = canonical_extension(m)
         assert ext.base.dim == 0
         assert ext.module.module_dim == 3
@@ -228,6 +228,17 @@ class TestExtractCocycle:
         assert equivalent_cocycles(
             QuadraticCocycle(z1.complex, z1.alpha, z1.gamma),
             QuadraticCocycle(z1.complex, z2.alpha, z2.gamma)) is not None
+
+    def test_canonical_section_reproduces_the_cocycle(self, sl2, n2):
+        # both routes through the section -> (alpha, gamma) extraction agree
+        from metlie.quadext import build_model
+        cx = CochainComplex(n2, rotation_rep(n2, [1], extra_trivial=1))
+        z = QuadraticCocycle(cx, cx.cochain(2, {(1, 2): [0, 0, 1]}),
+                             cx.zero_cochain(3, scalar=True))
+        for m in (oscillator(), sl2_semidirect(sl2),
+                  sl2_semidirect(sl2, Q(1)), build_model(z).metric):
+            ext = canonical_extension(m)
+            assert extract_cocycle(ext, section=ext.section) == ext.cocycle
 
     def test_abelian_base_extraction_is_zero(self):
         ext = canonical_extension(oscillator())

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from metlie import (Matrix, Representation, Subspace, SymmetricForm,
-                    abelian, adjoint_representation, check_representation,
+                    abelian, adjoint_representation,
                     direct_sum_representations, dual_representation,
                     filtration, invariant_split, is_semisimple,
                     module_radical, module_socle, nilpotency_radical,
@@ -73,28 +73,28 @@ def semisimple_probe_oracle(rep, rng, probes=6):
 
 class TestCheckRepresentation:
     def test_trivial_action(self, n2):
-        assert check_representation(trivial_representation(n2, 3)) is None
+        assert trivial_representation(n2, 3).violation() is None
 
     def test_adjoint_of_validated_algebra(self, sl2, n2, h1):
         for g in (sl2, n2, h1):
-            assert check_representation(adjoint_representation(g)) is None
+            assert adjoint_representation(g).violation() is None
 
     def test_rotation_family_with_euclidean_form(self, n2):
         rep = rotation_rep(n2, [1, 2])
-        assert check_representation(rep) is None
+        assert rep.violation() is None
 
     def test_broken_homomorphism_detected(self, h1):
         # rho([X,Y]) = rho(Z) = 1 but scalar actions commute
         bad = Representation(h1, (Matrix([[1]]), Matrix([[1]]), Matrix([[1]])),
                              validate=False)
-        assert check_representation(bad) is not None
+        assert bad.violation() is not None
 
     def test_broken_skewness_detected(self, n2):
         mats = (Matrix([[1, 0], [0, -1]]), Matrix.zeros(2, 2),
                 Matrix.zeros(2, 2))
         bad = Representation(abelian(3), mats,
                              form=SymmetricForm.euclidean(2), validate=False)
-        assert check_representation(bad) is not None
+        assert bad.violation() is not None
 
 
 class TestModuleRadical:

@@ -7,11 +7,11 @@ from metlie import (Cochain, CochainComplex, Matrix, QuadraticCochain,
                     admissibility, build_model, build_modified,
                     canonical_extension, equivalent_cocycles,
                     find_simple_ideal, is_balanced, is_indecomposable_class,
-                    jacobi_check, killing_form, psi_map, q_action, q_star,
+                    killing_form, psi_map, q_action, q_star,
                     trivial_representation)
 from metlie.catalog import base_algebra, build_rep, RepFamilySpec
 from metlie.linalg import unit_vector
-from metlie.quadext import bk_system_solvable, raw_model_table
+from metlie.quadext import bk_system_solvable
 from metlie.modules import submodule_generated
 
 from conftest import random_cochain, random_cocycle, rotation_rep
@@ -73,8 +73,10 @@ class TestBuildModel:
                 alpha = random_cochain(rng, cx, 2)
                 gamma = random_cochain(rng, cx, 3, scalar=True)
                 is_cocycle = cx.differential(alpha).is_zero()  # dim 3: C^4 = 0
-                algebra, form = raw_model_table(cx, alpha, gamma)
-                assert (jacobi_check(algebra) is None) == is_cocycle
+                algebra = build_model(
+                    QuadraticCocycle(cx, alpha, gamma, validate=False),
+                    force=True).metric.algebra
+                assert (algebra.jacobi_witness() is None) == is_cocycle
 
 
 class TestBuildModified:
