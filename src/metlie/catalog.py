@@ -375,6 +375,9 @@ class CatalogRow:
     model: StandardModel
     modified_form: Optional[SymmetricForm]
     certificate: Tuple
+    # the standard model of ``cocycle``; ``model`` itself unless the row
+    # carries a modified form
+    standard: StandardModel
 
 
 def _required(params: Dict, name: str):
@@ -383,8 +386,30 @@ def _required(params: Dict, name: str):
     return params[name]
 
 
+def _rational_param(params: Dict, name: str, default=None) -> Fraction:
+    """A rational parameter, required when it has no default."""
+    value = _required(params, name) if default is None \
+        else params.get(name, default)
+    try:
+        return rational(value)
+    except TypeError:
+        raise RowConstraintError(
+            f"$.params.{name} must be a rational number") from None
+
+
+def _rationals(value, name: str) -> Tuple[Fraction, ...]:
+    """A flat list of rationals given for the parameter ``name``."""
+    if isinstance(value, (list, tuple)):
+        try:
+            return tuple(rational(x) for x in value)
+        except TypeError:
+            pass
+    raise RowConstraintError(
+        f"$.params.{name} must be a list of rational numbers")
+
+
 def _sorted_positive(lam: Sequence) -> Tuple[Fraction, ...]:
-    vals = tuple(rational(x) for x in lam)
+    vals = _rationals(lam, "lam")
     if any(v <= 0 for v in vals):
         raise RowConstraintError("weights must be positive: 0 < l1 <= ... <= lm")
     if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
@@ -398,9 +423,11 @@ def _x_functionals(lam: Sequence[Fraction], dim: int) -> Tuple[Tuple, ...]:
 
 
 def _pair_functionals(lam: Sequence, dim: int) -> Tuple[Tuple, ...]:
+    if not isinstance(lam, (list, tuple)):
+        raise RowConstraintError("$.params.lam must be a list of weight lists")
     out = []
     for w in lam:
-        w = tuple(rational(x) for x in w)
+        w = _rationals(w, "lam")
         if all(x == 0 for x in w):
             raise RowConstraintError("weight functionals must be nonzero")
         out.append(w + (Q(0),) * (dim - len(w)))
@@ -424,15 +451,14 @@ def _finish_row(base, variant, params, cx, alpha_vals, gamma_vals,
     gamma = Cochain.from_values(n, 3, 1, gamma_vals)
     z = QuadraticCocycle(cx, alpha, gamma)
     if ip_l is not None:
-        model, phi, target = build_modified(z, ip_l)
-        z = target.cocycle
-        z = QuadraticCocycle(cx, z.alpha, z.gamma)
+        model, phi, standard = build_modified(z, ip_l)
+        z = standard.cocycle    # validated when build_modified built it
         modified_form = ip_l
     else:
-        model = build_model(z)
+        model = standard = build_model(z)
         modified_form = None
     return CatalogRow(base, variant, params, cx, z, model, modified_form,
-                      certificate)
+                      certificate, standard)
 
 
 def _row_n2_I(params, sign):
@@ -468,7 +494,7 @@ def _row_n2_II(params):
 
 def _row_n2_III(params):
     lam = _sorted_positive(params.get("lam", ()))
-    r = rational(_required(params, "r"))
+    r = _rational_param(params, "r")
     if r <= 0:
         raise RowConstraintError("parameter r must be positive")
     m = len(lam)
@@ -555,7 +581,7 @@ def _row_h1_II(params):
 
 
 def _row_sl2r(params):
-    c = rational(params.get("c", 0))
+    c = _rational_param(params, "c", 0)
     l = base_algebra("sl2r")
     rep = _empty_module(l)
     cx = CochainComplex(l, rep)
@@ -565,7 +591,7 @@ def _row_sl2r(params):
 
 
 def _row_su2(params):
-    c = rational(params.get("c", 0))
+    c = _rational_param(params, "c", 0)
     m = int(params.get("m", 0))
     k = params.get("k", ((), ()))
     odd, quat = tuple(k[0]), tuple(k[1])
@@ -586,7 +612,7 @@ def _row_su2(params):
 
 def _row_R1_I(params):
     lam = _sorted_positive(params.get("lam", ()))
-    nu = rational(_required(params, "nu"))
+    nu = _rational_param(params, "nu")
     if nu == 0:
         raise RowConstraintError("nu must be nonzero")
     l = base_algebra("R1")
@@ -609,7 +635,7 @@ def _row_R1_II(params):
 
 def _row_R1_III(params):
     lam = _sorted_positive(params.get("lam", ()))
-    mu = tuple(rational(x) for x in _required(params, "mu"))
+    mu = _rationals(_required(params, "mu"), "mu")
     if len(mu) != 2 or mu[0] != 1 or mu[1] < 1:
         raise RowConstraintError("mu must be (1, mu2) with mu2 >= 1")
     l = base_algebra("R1")
@@ -672,7 +698,7 @@ def _row_R3(params, image_dim):
     lam = _pair_functionals(params.get("lam", ()), 3)
     m = len(lam)
     l = base_algebra("R3")
-    gamma_val = rational(params.get("gamma", 0))
+    gamma_val = _rational_param(params, "gamma", 0)
     specs = ([RepFamilySpec("plus", lam)] if lam else [])
     if image_dim:
         specs += [RepFamilySpec("trivial", (0, image_dim))]
@@ -1036,9 +1062,7 @@ def run_row(base: str, variant: str, params: Dict) -> RowResult:
     row = catalog_row(base, variant, params)
     idx = row.model.metric.index()
     # the socle-route conditions; internally compared with the direct route
-    # (for the modified-form rows the cocycle's standard model is rebuilt)
-    standard = row.model if row.modified_form is None else None
-    report = admissibility(row.cocycle, model=standard)
+    report = admissibility(row.cocycle, model=row.standard)
     # the direct route once more, explicitly, for the recorded cross-check
     balanced = is_balanced(row.model)
     verdict = is_indecomposable_class(row.cocycle, assume_admissible=True) \
@@ -1078,7 +1102,7 @@ def run_controls() -> List[ControlResult]:
                              "inadmissible", not rpth.admissible))
     # r_{3,-2}: admissible but excluded from index 3 by its split form
     rowc = catalog_row("r3m2", "control", {})
-    rptc = admissibility(rowc.cocycle)
+    rptc = admissibility(rowc.cocycle, model=rowc.standard)
     idx = rowc.model.metric.index()
     out.append(ControlResult("r3m2-example", rptc.admissible, idx,
                              "admissible, index != 3",

@@ -77,12 +77,22 @@ class Matrix:
         self.data = table
 
     @classmethod
+    def _trusted(cls, data: Tuple[Vector, ...], rows: int, cols: int) -> "Matrix":
+        """A matrix from rows this module computed itself: a tuple of
+        ``rows`` tuples of ``cols`` Fractions each, taken without a check."""
+        out = cls.__new__(cls)
+        out.rows = rows
+        out.cols = cols
+        out.data = data
+        return out
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(((Q(0),) * cols,) * rows, rows, cols)
+        return cls._trusted(((Q(0),) * cols,) * rows, rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(unit_vector(n, i) for i in range(n)), n, n)
+        return cls._trusted(tuple(unit_vector(n, i) for i in range(n)), n, n)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
@@ -121,20 +131,23 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(tuple(vec_add(a, b) for a, b in zip(self.data, other.data)),
-                      self.rows, self.cols)
+        return Matrix._trusted(
+            tuple(vec_add(a, b) for a, b in zip(self.data, other.data)),
+            self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(tuple(vec_sub(a, b) for a, b in zip(self.data, other.data)),
-                      self.rows, self.cols)
+        return Matrix._trusted(
+            tuple(vec_sub(a, b) for a, b in zip(self.data, other.data)),
+            self.rows, self.cols)
 
     def __neg__(self) -> "Matrix":
         return self.scale(Q(-1))
 
     def scale(self, c) -> "Matrix":
         c = rational(c)
-        return Matrix(tuple(vec_scale(c, r) for r in self.data), self.rows, self.cols)
+        return Matrix._trusted(tuple(vec_scale(c, r) for r in self.data),
+                               self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -153,7 +166,7 @@ class Matrix:
                         if y:
                             acc[c] = acc[c] + x * y
             out.append(tuple(acc))
-        return Matrix(tuple(out), self.rows, ocols)
+        return Matrix._trusted(tuple(out), self.rows, ocols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix acting on a coordinate column vector."""
@@ -170,8 +183,8 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.column(j) for j in range(self.cols)),
-                      self.cols, self.rows)
+        return Matrix._trusted(tuple(self.column(j) for j in range(self.cols)),
+                               self.cols, self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -187,13 +200,14 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(tuple(a + b for a, b in zip(self.data, other.data)),
-                      self.rows, self.cols + other.cols)
+        return Matrix._trusted(tuple(a + b for a, b in zip(self.data, other.data)),
+                               self.rows, self.cols + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return Matrix(self.data + other.data, self.rows + other.rows, self.cols)
+        return Matrix._trusted(self.data + other.data, self.rows + other.rows,
+                               self.cols)
 
     def rref(self) -> Tuple["Matrix", Tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
@@ -221,7 +235,8 @@ class Matrix:
                             for x, y in zip(row_r, prow_vals)]
             pivots.append(col)
             prow += 1
-        return Matrix(m, self.rows, self.cols), tuple(pivots)
+        return (Matrix._trusted(tuple(tuple(r) for r in m), self.rows, self.cols),
+                tuple(pivots))
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -237,7 +252,7 @@ class Matrix:
             for r, p in enumerate(pivots):
                 v[p] = -red[r, f]
             basis.append(tuple(v))
-        return Matrix.from_rows(tuple(basis), cols=self.cols)
+        return Matrix._trusted(tuple(basis), len(basis), self.cols)
 
     def solve(self, b: Vector) -> Optional[Vector]:
         """One solution of A x = b, or None when inconsistent."""
@@ -258,7 +273,8 @@ class Matrix:
         red, pivots = self.hstack(Matrix.identity(self.rows)).rref()
         if len(pivots) != self.rows or any(p >= self.rows for p in pivots):
             raise ValueError("matrix is singular")
-        return Matrix(tuple(r[self.rows:] for r in red.data), self.rows, self.rows)
+        return Matrix._trusted(tuple(r[self.rows:] for r in red.data),
+                               self.rows, self.rows)
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
@@ -299,7 +315,7 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
         left, right = zero_vector(offset), zero_vector(cols - offset - b.cols)
         rows.extend(left + r + right for r in b.data)
         offset += b.cols
-    return Matrix(rows, len(rows), cols)
+    return Matrix._trusted(tuple(rows), len(rows), cols)
 
 
 def block_coordinates(blocks: Sequence[Sequence[Vector]], k: int,
@@ -313,7 +329,7 @@ def block_coordinates(blocks: Sequence[Sequence[Vector]], k: int,
                               rows=ambient).inverse()
     start = sum(len(b) for b in blocks[:k])
     size = len(blocks[k])
-    return Matrix(inv.data[start:start + size], size, ambient)
+    return Matrix._trusted(inv.data[start:start + size], size, ambient)
 
 
 class Subspace:
@@ -333,10 +349,10 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient: int, rows: Iterable[Vector]) -> "Subspace":
-        mat = Matrix.from_rows(tuple(tuple(rational(x) for x in r) for r in rows),
-                               cols=ambient)
+        mat = Matrix.from_rows(tuple(tuple(r) for r in rows), cols=ambient)
         red, pivots = mat.rref()
-        return cls(ambient, Matrix(red.data[: len(pivots)], len(pivots), ambient))
+        return cls(ambient, Matrix._trusted(red.data[: len(pivots)],
+                                            len(pivots), ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -410,15 +426,14 @@ class Subspace:
         """A complement W with self ⊕ W = larger (self ⊆ larger required)."""
         if not larger.contains_subspace(self):
             raise ValueError("complement_in requires containment")
-        current = list(self.basis.data)
-        rank = Matrix.from_rows(tuple(current), cols=self.ambient).rank()
-        chosen = []
-        for cand in larger.basis.data:
-            trial = Matrix.from_rows(tuple(current + [cand]), cols=self.ambient)
-            if trial.rank() > rank:
-                current.append(cand)
-                chosen.append(cand)
-                rank += 1
+        # Keep each basis vector of larger that is independent of self and
+        # of the vectors kept before it: with self's basis and then larger's
+        # as the columns of one matrix, these are its pivot columns past
+        # self's.
+        vectors = self.basis.data + larger.basis.data
+        _, pivots = Matrix._trusted(vectors, len(vectors),
+                                    self.ambient).transpose().rref()
+        chosen = [vectors[p] for p in pivots if p >= self.dim]
         return Subspace.span(self.ambient, chosen)
 
     def image(self, mat: Matrix) -> "Subspace":
@@ -491,6 +506,12 @@ class SymmetricForm:
 
     def is_nondegenerate(self) -> bool:
         return self.gram.rank() == self.dim
+
+    def is_skew_adjoint(self, a: Matrix) -> bool:
+        """<a x, y> = -<x, a y> for all x, y, i.e. gram·a is skew."""
+        m = (self.gram @ a).data
+        return not any(m[i][j] + m[j][i]
+                       for i in range(self.dim) for j in range(i, self.dim))
 
     def restrict(self, U: Subspace) -> "SymmetricForm":
         rows = U.basis.data

@@ -84,7 +84,14 @@ def metric_violation(g: LieAlgebra, form: SymmetricForm) -> Optional[str]:
 def invariance_witness(g: LieAlgebra, form: SymmetricForm
                        ) -> Optional[Tuple[int, int, int, Fraction, Fraction]]:
     """First basis triple (i, k, j) with <[e_i,e_k],e_j> != <e_i,[e_k,e_j]>,
-    with both sides, or None when the form (degenerate or not) is invariant."""
+    with both sides, or None when the form (degenerate or not) is invariant.
+
+    The form is invariant exactly when every ad(e_k) is skew-adjoint for
+    it, which is checked as a matrix identity; the basis triples are walked
+    only to name the witness when it fails.
+    """
+    if all(form.is_skew_adjoint(g.ad(k)) for k in range(g.dim)):
+        return None
     for i in range(g.dim):
         for j in range(g.dim):
             for k in range(g.dim):

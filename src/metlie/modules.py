@@ -81,15 +81,16 @@ class Representation:
                 if lhs != rhs:
                     return f"rho([e{i},e{j}]) != [rho(e{i}),rho(e{j})]"
         if self.form is not None:
-            gram = self.form.gram
             for i, a in enumerate(self.action):
-                if not (a.transpose() @ gram + gram @ a).is_zero():
+                if not self.form.is_skew_adjoint(a):
                     return f"rho(e{i}) is not skew-adjoint for the form"
         return None
 
     def is_submodule(self, W: Subspace) -> bool:
         if W.ambient != self.module_dim:
             raise ValueError("ambient dimension mismatch")
+        if W.dim == self.module_dim:
+            return True    # the whole module contains every image
         return all(W.contains(a.apply(w)) for a in self.action for w in W.basis.data)
 
     def full_space(self) -> Subspace:
@@ -140,8 +141,7 @@ def sub_representation(rep: Representation, U: Subspace
     """
     if U.dim == rep.module_dim:
         return rep, Matrix.identity(rep.module_dim)
-    if not rep.is_submodule(U):
-        raise ValueError("not a submodule")
+    _check_ambient(rep, U)
     rows = U.basis.data
     inclusion = Matrix.from_columns(rows, rows=rep.module_dim)
     mats = []
@@ -149,7 +149,8 @@ def sub_representation(rep: Representation, U: Subspace
         cols = []
         for u in rows:
             coords = U.coordinates(a.apply(u))
-            assert coords is not None
+            if coords is None:
+                raise ValueError("not a submodule")
             cols.append(coords)
         mats.append(Matrix.from_columns(cols, rows=U.dim))
     return Representation(rep.algebra, tuple(mats), validate=False), inclusion
@@ -158,14 +159,24 @@ def sub_representation(rep: Representation, U: Subspace
 def quotient_representation(rep: Representation, U: Subspace
                             ) -> Tuple[Representation, Matrix, Matrix]:
     """Action on V/U: (representation, projection V->V/U, lift V/U->V)."""
-    if not rep.is_submodule(U):
-        raise ValueError("not a submodule")
+    _check_ambient(rep, U)
     comp = U.complement_in(Subspace.full(rep.module_dim))
     lift = Matrix.from_columns(comp.basis.data, rows=rep.module_dim)
     proj = block_coordinates((U.basis.data, comp.basis.data), 1,
                              rep.module_dim)
-    mats = tuple(proj @ a @ lift for a in rep.action)
-    return Representation(rep.algebra, mats, validate=False), proj, lift
+    mats = []
+    for a in rep.action:
+        pa = proj @ a
+        # proj kills exactly U, so U is a submodule iff proj·a·U = 0
+        if any(any(pa.apply(u)) for u in U.basis.data):
+            raise ValueError("not a submodule")
+        mats.append(pa @ lift)
+    return Representation(rep.algebra, tuple(mats), validate=False), proj, lift
+
+
+def _check_ambient(rep: Representation, U: Subspace):
+    if U.ambient != rep.module_dim:
+        raise ValueError("ambient dimension mismatch")
 
 
 def direct_sum_representations(r1: Representation, r2: Representation,
@@ -229,11 +240,11 @@ def module_radical(rep: Representation, W: Optional[Subspace] = None) -> Subspac
     """Minimal submodule R of W such that the action on W/R is semisimple."""
     if W is None:
         W = rep.full_space()
+    key = W.basis
+    if key in rep._radical_cache:    # W was checked when it was stored
+        return rep._radical_cache[key]
     if not rep.is_submodule(W):
         raise ValueError("radical of a non-submodule")
-    key = W.basis
-    if key in rep._radical_cache:
-        return rep._radical_cache[key]
     g = rep.algebra
     nilrad = nilpotency_radical(g)
     lifts = _central_lifts(g, nilrad)

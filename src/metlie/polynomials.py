@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple
 
+from .lie import InternalCheckError
 from .linalg import Matrix, Q, Vector, unit_vector
 
 Poly = Tuple[Fraction, ...]
@@ -124,7 +125,8 @@ def _annihilator(M: Matrix, v: Vector) -> Poly:
     # w = sum c_i M^i v is solvable; coefficients give the annihilator.
     krylov = Matrix.from_rows(tuple(rows), cols=M.cols).transpose()
     coeffs = krylov.solve(w)
-    assert coeffs is not None
+    if coeffs is None:
+        raise InternalCheckError("Krylov vector outside the span it depends on")
     return monic(tuple(-c for c in coeffs) + (Q(1),))
 
 

@@ -619,7 +619,8 @@ def _binary_det_lines(rep: Representation) -> Tuple[bool, List[Vector]]:
     # coefficients of p(t) = det(tA + B), degree <= m
     van = Matrix([[Q(t) ** j for j in range(m + 1)] for t in xs], m + 1, m + 1)
     coeffs = van.solve(tuple(values))
-    assert coeffs is not None
+    if coeffs is None:
+        raise InternalCheckError("Vandermonde interpolation has no solution")
     from . import polynomials as poly
     p = poly.normalize(coeffs)
     lines: List[Vector] = []

@@ -180,8 +180,13 @@ class TestPipelines:
         ("n2", "III", '{"lam": ["1"]}', "$.params.r"),
         ("R1", "I", '{"lam": ["1"]}', "$.params.nu"),
         ("R1", "III", '{"lam": ["1"]}', "$.params.mu"),
+        ("n2", "III", '{"lam": ["1"], "r": null}', "$.params.r"),
+        ("n2", "III", '{"lam": ["1"], "r": [1]}', "$.params.r"),
+        ("n2", "III", '{"lam": [["1", "0"]], "r": "1"}', "$.params.lam"),
+        ("R1", "III", '{"mu": "12"}', "$.params.mu"),
     ], ids=["n2-III-negative-r", "n2-III-missing-r", "R1-I-missing-nu",
-            "R1-III-missing-mu"])
+            "R1-III-missing-mu", "n2-III-null-r", "n2-III-list-r",
+            "n2-III-nested-lam", "R1-III-string-mu"])
     def test_row_constraint_violation_exit_two(self, capsys, base, variant,
                                                params, path):
         assert main(["catalog", base, variant, "--params", params]) == 2

@@ -9,7 +9,7 @@ from metlie import (Matrix, Representation, Subspace, SymmetricForm,
                     module_radical, module_socle, nilpotency_radical,
                     quotient_representation, trivial_representation)
 from metlie.linalg import unit_vector
-from metlie.modules import submodule_generated
+from metlie.modules import sub_representation, submodule_generated
 
 from conftest import rotation_rep
 
@@ -254,3 +254,46 @@ class TestDualSubQuotient:
         # R(U + V) = R(U) + R(V)
         assert module_radical(rep, U.add(V)) == \
             module_radical(rep, U).add(module_radical(rep, V))
+
+
+class TestSubmoduleCheck:
+    """Each route that builds on a subspace rejects one that is not a
+    submodule: [X, Y] = Z takes span(Y) out of itself in the adjoint n(2)."""
+
+    @staticmethod
+    def not_a_submodule():
+        return Subspace.span(3, [unit_vector(3, 1)])
+
+    def test_sub_representation_rejects(self, n2):
+        with pytest.raises(ValueError, match="not a submodule"):
+            sub_representation(adjoint_representation(n2),
+                               self.not_a_submodule())
+
+    def test_quotient_representation_rejects(self, n2):
+        with pytest.raises(ValueError, match="not a submodule"):
+            quotient_representation(adjoint_representation(n2),
+                                    self.not_a_submodule())
+
+    def test_module_radical_rejects_after_a_cached_radical(self, n2):
+        rep = adjoint_representation(n2)
+        nilrad = nilpotency_radical(n2)
+        module_radical(rep, nilrad)
+        assert nilrad.basis in rep._radical_cache
+        with pytest.raises(ValueError, match="non-submodule"):
+            module_radical(rep, self.not_a_submodule())
+        assert self.not_a_submodule().basis not in rep._radical_cache
+
+    def test_submodules_accepted(self, n2):
+        rep = adjoint_representation(n2)
+        nilrad = nilpotency_radical(n2)
+        sub, inclusion = sub_representation(rep, nilrad)
+        qrep, proj, lift = quotient_representation(rep, nilrad)
+        assert (sub.module_dim, qrep.module_dim) == (2, 1)
+        assert sub.violation() is None and qrep.violation() is None
+
+    def test_ambient_mismatch_rejected(self, n2):
+        rep = adjoint_representation(n2)
+        for route in (sub_representation, quotient_representation,
+                      module_radical):
+            with pytest.raises(ValueError):
+                route(rep, Subspace.zero(4))
