@@ -408,6 +408,11 @@ def _rationals(value, name: str) -> Tuple[Fraction, ...]:
         f"$.params.{name} must be a list of rational numbers")
 
 
+def _is_count(x) -> bool:
+    """A non-negative int; bools, though ints in Python, are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _sorted_positive(lam: Sequence) -> Tuple[Fraction, ...]:
     vals = _rationals(lam, "lam")
     if any(v <= 0 for v in vals):
@@ -592,8 +597,15 @@ def _row_sl2r(params):
 
 def _row_su2(params):
     c = _rational_param(params, "c", 0)
-    m = int(params.get("m", 0))
+    m = params.get("m", 0)
+    if not _is_count(m):
+        raise RowConstraintError("$.params.m must be a non-negative integer")
     k = params.get("k", ((), ()))
+    if not (isinstance(k, (list, tuple)) and len(k) == 2
+            and all(isinstance(part, (list, tuple))
+                    and all(_is_count(t) for t in part) for part in k)):
+        raise RowConstraintError(
+            "$.params.k must be two lists of non-negative integers")
     odd, quat = tuple(k[0]), tuple(k[1])
     if sum(2 * t + 1 for t in odd) + sum(4 * t for t in quat) != m:
         raise RowConstraintError("k indices must partition m")

@@ -36,6 +36,11 @@ def _q_str(x: Fraction) -> str:
     return str(x)
 
 
+def _is_int(x) -> bool:
+    """An integer field; JSON true and false are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _q_parse(s, path: str) -> Fraction:
     if isinstance(s, int):
         return Q(s)
@@ -108,7 +113,7 @@ def lie_from_payload(payload, path: str = "$.payload",
     if not isinstance(payload, dict):
         raise DocumentError("expected an object", path)
     dim = payload.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise DocumentError("dim must be a non-negative integer", f"{path}.dim")
     brackets: Dict[Tuple[int, int], List[Fraction]] = {}
     entries = payload.get("brackets", [])
@@ -119,7 +124,7 @@ def lie_from_payload(payload, path: str = "$.payload",
         if not (isinstance(quad, list) and len(quad) == 4):
             raise DocumentError("expected [i, j, k, value]", where)
         i, j, k, v = quad
-        if not all(isinstance(x, int) for x in (i, j, k)):
+        if not all(_is_int(x) for x in (i, j, k)):
             raise DocumentError("indices must be integers", where)
         if not (0 <= i < j < dim and 0 <= k < dim):
             raise DocumentError("indices out of range (need i < j)", where)
@@ -169,7 +174,7 @@ def representation_from_payload(payload, path: str = "$.payload",
     g = lie_from_payload(payload.get("algebra"), f"{path}.algebra",
                          validate=validate)
     m = payload.get("module_dim")
-    if not isinstance(m, int) or m < 0:
+    if not _is_int(m) or m < 0:
         raise DocumentError("module_dim must be a non-negative integer",
                             f"{path}.module_dim")
     raw = payload.get("action")
@@ -211,7 +216,7 @@ def _alpha_in(data, n: int, m: int, path: str) -> Cochain:
             raise DocumentError("expected [[i, j], vector]", where)
         subset, vec = entry
         if not (isinstance(subset, list) and len(subset) == 2
-                and all(isinstance(x, int) for x in subset)):
+                and all(_is_int(x) for x in subset)):
             raise DocumentError("bad index pair", where)
         i, j = subset
         if not (0 <= i < j < n):
@@ -231,7 +236,7 @@ def _gamma_in(data, n: int, path: str) -> Cochain:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise DocumentError("expected [i, j, k, value]", where)
         i, j, k, v = entry
-        if not all(isinstance(x, int) for x in (i, j, k)):
+        if not all(_is_int(x) for x in (i, j, k)):
             raise DocumentError("indices must be integers", where)
         if not (0 <= i < j < k < n):
             raise DocumentError("indices out of range (need i < j < k)", where)

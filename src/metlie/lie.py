@@ -103,11 +103,19 @@ class LieAlgebra:
         return None
 
     def _ad_is_homomorphism(self) -> bool:
-        """ad([e_i, e_j]) = [ad e_i, ad e_j] for all i < j."""
-        ads = [self.ad(i) for i in range(self.dim)]
+        """ad([e_i, e_j]) = [ad e_i, ad e_j] for i < j in the same half.
+
+        The identity for (i, j) applied to e_k is the Jacobi sum of the
+        triple (i, j, k).  Of any three distinct indices two lie in the same
+        half, {0, ..., n//2 - 1} or {n//2, ..., n - 1}, so these pairs cover
+        every triple; triples with a repeated index hold by antisymmetry.
+        """
+        n, half = self.dim, self.dim // 2
+        ads = [self.ad(i) for i in range(n)]
         return all(self.ad_vector(self.table[i][j])
                    == ads[i] @ ads[j] - ads[j] @ ads[i]
-                   for i in range(self.dim) for j in range(i + 1, self.dim))
+                   for lo, hi in ((0, half), (half, n))
+                   for i in range(lo, hi) for j in range(i + 1, hi))
 
     def structure_entries(self) -> Tuple[Tuple[int, int, int, Q], ...]:
         """Sparse (i, j, k, value) quadruples with i < j, deterministic order."""

@@ -395,8 +395,9 @@ class Subspace:
             c = residual[pivot]
             coeffs.append(c)
             if c != 0:
-                for j in range(self.ambient):
-                    residual[j] -= c * row[j]
+                for j, x in enumerate(row):
+                    if x:
+                        residual[j] -= c * x
         if any(x != 0 for x in residual):
             return None
         return tuple(coeffs)
@@ -415,12 +416,9 @@ class Subspace:
         # x = c·U = d·V; kernel of the stacked transposed bases gives (c, d).
         stacked = self.basis.transpose().hstack(other.basis.transpose().scale(-1))
         combos = stacked.nullspace()
-        rows = []
-        for combo in combos.data:
-            c = combo[: self.dim]
-            rows.append(tuple(sum(ci * row[j] for ci, row in zip(c, self.basis.data))
-                              for j in range(self.ambient)))
-        return Subspace.span(self.ambient, rows)
+        coeffs = Matrix._trusted(tuple(c[: self.dim] for c in combos.data),
+                                 combos.rows, self.dim)
+        return Subspace.span(self.ambient, (coeffs @ self.basis).data)
 
     def complement_in(self, larger: "Subspace") -> "Subspace":
         """A complement W with self ⊕ W = larger (self ⊆ larger required)."""

@@ -5,15 +5,19 @@ duals, sub/quotient modules, the module radical and socle, higher
 socle/radical filtrations, and semisimplicity with the invariant split.
 
 The radical R(W) of a submodule W is the minimal submodule with semisimple
-quotient action.  It is computed in one pass as
+quotient action.  W is restricted to once, and the formula
 
     R = rho(N)·W + sum_i s_i(rho(z_i))·W
 
-where N is the nilpotency radical of the algebra, the z_i lift a basis of
-the centre of the reductive quotient, and s_i is the squarefree part of the
-minimal polynomial of rho(z_i) on W / rho(N)·W.  A verification pass
-re-applies the formula to the quotient and iterates in the (never yet
-observed) event it is not already zero.
+runs on that sub-module in its own basis, where N is the nilpotency
+radical of the algebra, the z_i lift a basis of the centre of the reductive
+quotient, and s_i is the squarefree part of the minimal polynomial of
+rho(z_i) on W / rho(N)·W.  Because N is an ideal, rho(N)·W is a submodule
+(x·(n·w) = [x, n]·w + n·(x·w)), so only the induced matrices of the rho(z_i)
+are formed on that quotient, with no further submodule test.  A
+verification pass checks the radical it produced: it re-applies the formula
+to W/R, whose construction tests that R is a submodule, and iterates in
+the (never yet observed) event the result is not already zero.
 """
 
 from __future__ import annotations
@@ -139,9 +143,9 @@ def sub_representation(rep: Representation, U: Subspace
     Inclusion columns are the chosen basis vectors of U, so
     ``inclusion @ (coords in U)`` recovers ambient coordinates.
     """
+    _check_ambient(rep, U)
     if U.dim == rep.module_dim:
         return rep, Matrix.identity(rep.module_dim)
-    _check_ambient(rep, U)
     rows = U.basis.data
     inclusion = Matrix.from_columns(rows, rows=rep.module_dim)
     mats = []
@@ -160,10 +164,12 @@ def quotient_representation(rep: Representation, U: Subspace
                             ) -> Tuple[Representation, Matrix, Matrix]:
     """Action on V/U: (representation, projection V->V/U, lift V/U->V)."""
     _check_ambient(rep, U)
-    comp = U.complement_in(Subspace.full(rep.module_dim))
-    lift = Matrix.from_columns(comp.basis.data, rows=rep.module_dim)
-    proj = block_coordinates((U.basis.data, comp.basis.data), 1,
-                             rep.module_dim)
+    if U.dim == 0:
+        # a fresh object: caches hung on it must not land on rep
+        identity = Matrix.identity(rep.module_dim)
+        return (Representation(rep.algebra, rep.action, validate=False,
+                               module_dim=rep.module_dim), identity, identity)
+    proj, lift = _quotient_maps(rep.module_dim, U)
     mats = []
     for a in rep.action:
         pa = proj @ a
@@ -172,6 +178,14 @@ def quotient_representation(rep: Representation, U: Subspace
             raise ValueError("not a submodule")
         mats.append(pa @ lift)
     return Representation(rep.algebra, tuple(mats), validate=False), proj, lift
+
+
+def _quotient_maps(m: int, U: Subspace) -> Tuple[Matrix, Matrix]:
+    """Projection Q^m -> Q^m/U and lift back, through a complement of U."""
+    comp = U.complement_in(Subspace.full(m))
+    lift = Matrix.from_columns(comp.basis.data, rows=m)
+    proj = block_coordinates((U.basis.data, comp.basis.data), 1, m)
+    return proj, lift
 
 
 def _check_ambient(rep: Representation, U: Subspace):
@@ -217,22 +231,26 @@ def _central_lifts(g: LieAlgebra, nilrad: Subspace) -> Tuple[Vector, ...]:
     return out
 
 
-def _radical_once(rep: Representation, W: Subspace,
-                  nilrad: Subspace, lifts: Tuple[Vector, ...]) -> Subspace:
+def _radical_once(rep: Representation, nilrad: Subspace,
+                  lifts: Tuple[Vector, ...]) -> Subspace:
+    """rho(N)·V + sum_i s_i(rho(z_i))·V on the whole module V."""
     m = rep.module_dim
     pieces = []
     for r in nilrad.basis.data:
-        mat = rep.rho(r)
-        pieces.extend(mat.apply(w) for w in W.basis.data)
+        pieces.extend(rep.rho(r).transpose().data)    # images of unit vectors
     base = Subspace.span(m, pieces)
-
-    # quotient of W by rho(N)W, with induced central actions
-    qspace = _quotient_module_on(rep, W, base) if lifts else None
-    if qspace is not None:
+    if lifts and base.dim < m:
+        # rho(N)·V is a submodule because N = [g, r] is an ideal
+        # (nilpotency_radical checks it against the ideal r ∩ g'), so
+        # V/rho(N)·V needs no submodule test, and only the central lifts'
+        # induced matrices are formed on it.
+        if base.dim:
+            proj, lift = _quotient_maps(m, base)
         for z in lifts:
-            s = poly.squarefree_part(poly.minimal_polynomial(qspace[0].rho(z)))
-            mat = poly.evaluate_matrix(s, rep.rho(z))
-            pieces.extend(mat.apply(w) for w in W.basis.data)
+            rz = rep.rho(z)
+            induced = proj @ rz @ lift if base.dim else rz
+            s = poly.squarefree_part(poly.minimal_polynomial(induced))
+            pieces.extend(poly.evaluate_matrix(s, rz).transpose().data)
     return Subspace.span(m, pieces)
 
 
@@ -243,34 +261,28 @@ def module_radical(rep: Representation, W: Optional[Subspace] = None) -> Subspac
     key = W.basis
     if key in rep._radical_cache:    # W was checked when it was stored
         return rep._radical_cache[key]
-    if not rep.is_submodule(W):
-        raise ValueError("radical of a non-submodule")
+    _check_ambient(rep, W)
+    try:
+        sub, _ = sub_representation(rep, W)
+    except ValueError:
+        raise ValueError("radical of a non-submodule") from None
     g = rep.algebra
     nilrad = nilpotency_radical(g)
     lifts = _central_lifts(g, nilrad)
-    R = _radical_once(rep, W, nilrad, lifts)
-    # Defensive verification: the formula applied to W/R must give zero.
-    while True:
-        qspace = _quotient_module_on(rep, W, R)
-        if qspace is None:
-            break
-        again = _radical_once(qspace[0], qspace[0].full_space(), nilrad, lifts)
+    R = _radical_once(sub, nilrad, lifts)
+    # Verification: the formula applied to W/R must give zero.
+    while R.dim < sub.module_dim:
+        qrep, _, lift = quotient_representation(sub, R)
+        again = _radical_once(qrep, nilrad, lifts)
         if again.dim == 0:
             break
-        lifted = [qspace[2].apply(v) for v in again.basis.data]
-        R = R.add(Subspace.span(rep.module_dim, lifted))
-    rep._radical_cache[key] = R
-    return R
-
-
-def _quotient_module_on(rep: Representation, W: Subspace, R: Subspace):
-    """Representation on W/R plus (proj, lift to ambient); None when W == R."""
-    if R.dim == W.dim:
-        return None
-    sub_rep, inclusion = sub_representation(rep, W)
-    R_in_W = Subspace.span(W.dim, [W.coordinates(v) for v in R.basis.data])
-    qrep, proj, lift = quotient_representation(sub_rep, R_in_W)
-    return qrep, proj, inclusion @ lift
+        R = R.add(Subspace.span(sub.module_dim,
+                                [lift.apply(v) for v in again.basis.data]))
+    # W-coordinates to ambient ones: the rows of R's basis times W's
+    out = R if W.dim == rep.module_dim else \
+        Subspace.span(rep.module_dim, (R.basis @ W.basis).data)
+    rep._radical_cache[key] = out
+    return out
 
 
 def module_socle(rep: Representation, W: Optional[Subspace] = None) -> Subspace:

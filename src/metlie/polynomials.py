@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .lie import InternalCheckError
-from .linalg import Matrix, Q, Vector, unit_vector
+from .linalg import Matrix, Q, Vector, unit_vector, vec_add, vec_scale
 
 Poly = Tuple[Fraction, ...]
 
@@ -81,13 +81,6 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return monic(p)
 
 
-def lcm(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    g = gcd(p, q)
-    return monic(divmod_poly(mul(p, q), g)[0])
-
-
 def derivative(p: Poly) -> Poly:
     return normalize(tuple(Q(i) * p[i] for i in range(1, len(p))))
 
@@ -111,35 +104,51 @@ def evaluate_matrix(p: Poly, M: Matrix) -> Matrix:
     return acc
 
 
-def _annihilator(M: Matrix, v: Vector) -> Poly:
-    """Monic generator of {p : p(M) v = 0} by first Krylov dependence."""
-    rows = [v]
-    w = v
-    while True:
-        w = M.apply(w)
-        stack = Matrix.from_rows(tuple(rows) + (w,), cols=M.cols)
-        red, pivots = stack.transpose().rref()
-        if len(pivots) < stack.rows:
-            break
-        rows.append(w)
-    # w = sum c_i M^i v is solvable; coefficients give the annihilator.
-    krylov = Matrix.from_rows(tuple(rows), cols=M.cols).transpose()
-    coeffs = krylov.solve(w)
-    if coeffs is None:
-        raise InternalCheckError("Krylov vector outside the span it depends on")
-    return monic(tuple(-c for c in coeffs) + (Q(1),))
+def _annihilator(M: Matrix, v: Vector, limit: int) -> Poly:
+    """Monic generator of {p : p(M) v = 0}, of degree at most ``limit``.
+
+    Read off the first dependence among the columns v, Mv, ..., M^limit v
+    of one reduced row echelon form.
+    """
+    krylov = [v]
+    for _ in range(limit):
+        krylov.append(M.apply(krylov[-1]))
+    red, pivots = Matrix.from_columns(krylov, rows=M.rows).rref()
+    # pivots are 0, 1, ..., d-1 up to the first dependent column d
+    d = next((c for c, col in enumerate(pivots) if col != c), len(pivots))
+    if d > limit:
+        raise InternalCheckError("no Krylov dependence within the degree bound")
+    p = tuple(-red[r, d] for r in range(d)) + (Q(1),)
+    if any(sum((c * x[row] for c, x in zip(p, krylov) if c), Q(0))
+           for row in range(M.rows)):
+        raise InternalCheckError("Krylov polynomial does not annihilate its vector")
+    return p
 
 
 def minimal_polynomial(M: Matrix) -> Poly:
-    """Minimal polynomial via iterated Krylov spans, exact arithmetic."""
+    """Minimal polynomial via Krylov annihilators, exact arithmetic.
+
+    With m annihilating e_0, ..., e_{i-1}, the product m·ann(m(M) e_i) is
+    lcm(m, ann(e_i)), so no polynomial gcd is needed.
+    """
     if M.rows != M.cols:
         raise ValueError("minimal polynomial of non-square matrix")
     n = M.rows
-    if n == 0:
-        return (Q(1),)
     result: Poly = (Q(1),)
     for i in range(n):
-        result = lcm(result, _annihilator(M, unit_vector(n, i)))
-        if degree(result) == n:
-            break
+        w = _evaluate_on(result, M, unit_vector(n, i))
+        if any(w):
+            result = mul(result, _annihilator(M, w, n - degree(result)))
+            if degree(result) == n:
+                break
     return result
+
+
+def _evaluate_on(p: Poly, M: Matrix, v: Vector) -> Vector:
+    """p(M) v for monic p, by Horner's rule."""
+    out = v
+    for c in reversed(p[:-1]):
+        out = M.apply(out)
+        if c:
+            out = vec_add(out, vec_scale(c, v))
+    return out

@@ -184,14 +184,52 @@ class TestPipelines:
         ("n2", "III", '{"lam": ["1"], "r": [1]}', "$.params.r"),
         ("n2", "III", '{"lam": [["1", "0"]], "r": "1"}', "$.params.lam"),
         ("R1", "III", '{"mu": "12"}', "$.params.mu"),
+        ("su2", "ck", '{"m": null}', "$.params.m"),
+        ("su2", "ck", '{"m": true}', "$.params.m"),
+        ("su2", "ck", '{"m": "1", "k": [[], []]}', "$.params.m"),
+        ("su2", "ck", '{"m": 1, "k": [["0"], []]}', "$.params.k"),
+        ("su2", "ck", '{"m": 1, "k": [[true], []]}', "$.params.k"),
+        ("su2", "ck", '{"m": 1, "k": [[0]]}', "$.params.k"),
     ], ids=["n2-III-negative-r", "n2-III-missing-r", "R1-I-missing-nu",
             "R1-III-missing-mu", "n2-III-null-r", "n2-III-list-r",
-            "n2-III-nested-lam", "R1-III-string-mu"])
+            "n2-III-nested-lam", "R1-III-string-mu", "su2-null-m",
+            "su2-bool-m", "su2-string-m", "su2-string-k", "su2-bool-k",
+            "su2-one-list-k"])
     def test_row_constraint_violation_exit_two(self, capsys, base, variant,
                                                params, path):
         assert main(["catalog", base, variant, "--params", params]) == 2
         if path is not None:
             assert path in capsys.readouterr().err
+
+
+def _h1_pair(dim=3, module_dim=1, i=0, j=1):
+    return {"algebra": {"dim": dim, "brackets": [[i, j, 2, "1"]]},
+            "module_dim": module_dim, "action": [[["0"]]] * 3,
+            "gram": [["1"]]}
+
+
+class TestBooleansAreNotIntegers:
+    """JSON true reads as the integer 1 in Python; no index or size field
+    of a document may take it."""
+
+    @pytest.mark.parametrize("kind, payload, path", [
+        ("metric", {"algebra": {"dim": True, "brackets": []},
+                    "gram": [["1"]]}, "$.payload.algebra.dim"),
+        ("lie", _h1_pair(j=True)["algebra"], "$.payload.brackets[0]"),
+        ("representation", _h1_pair(module_dim=True), "$.payload.module_dim"),
+        ("cocycle", {"pair": _h1_pair(), "alpha": [[[0, True], ["1"]]],
+                     "gamma": []}, "$.payload.alpha[0]"),
+        ("cocycle", {"pair": _h1_pair(), "alpha": [],
+                     "gamma": [[0, True, 2, "1"]]}, "$.payload.gamma[0]"),
+    ], ids=["dim", "bracket-index", "module-dim", "alpha-index",
+            "gamma-index"])
+    def test_boolean_field_exit_two(self, tmp_path, capsys, kind, payload,
+                                    path):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps({"format_version": "1", "kind": kind,
+                                 "payload": payload}))
+        assert main(["validate", str(f)]) == 2
+        assert path in capsys.readouterr().err
 
 
 class TestValidateVerdicts:

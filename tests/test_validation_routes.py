@@ -88,6 +88,16 @@ def rebased(g, P):
     return LieAlgebra(g.dim, brackets, validate=False)
 
 
+# dimensions 3 to 6, in a basis where most structure constants are nonzero
+JACOBI_EXAMPLES = [
+    rebased(g, Matrix([[Q(1) if c >= r else Q(0) for c in range(g.dim)]
+                       for r in range(g.dim)], g.dim, g.dim))
+    for g in [base_algebra("r3m1"), base_algebra("sl2r"),
+              direct_sum(base_algebra("n2"), base_algebra("R1")),
+              direct_sum(base_algebra("h1"), base_algebra("R2"))]
+    + [g for g, _ in METRICS if g.dim == 6]]
+
+
 @st.composite
 def structure_constants(draw):
     """A valid algebra in a random basis, perhaps with one constant moved,
@@ -146,6 +156,22 @@ class TestJacobiRoutes:
         walk = reference_jacobi_walk(g)
         assert g._ad_is_homomorphism() == (walk is None)
         assert g.jacobi_witness() == walk
+
+    def test_every_single_constant_perturbation(self):
+        # the pair identities are checked within two halves of the basis
+        verdicts = set()
+        for g in JACOBI_EXAMPLES:
+            brackets = {(a, b): g.table[a][b]
+                        for a in range(g.dim) for b in range(a + 1, g.dim)}
+            for (i, j), v in brackets.items():
+                for k in range(g.dim):
+                    moved = v[:k] + (v[k] + 1,) + v[k + 1:]
+                    h = LieAlgebra(g.dim, {**brackets, (i, j): moved},
+                                   validate=False)
+                    walk = reference_jacobi_walk(h)
+                    assert h.jacobi_witness() == walk
+                    verdicts.add(walk is None)
+        assert verdicts == {True, False}
 
 
 class TestInvarianceRoutes:
