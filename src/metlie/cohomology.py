@@ -11,6 +11,7 @@ the square-zero part of ordinary cohomology.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,12 @@ def _sort_with_sign(indices: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], i
     return tuple(idx), sign
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_positions(n: int, p: int) -> Dict[Tuple[int, ...], int]:
+    """Position of each p-subset of range(n) in lexicographic order."""
+    return {s: i for i, s in enumerate(lex_subsets(n, p))}
+
+
 class Cochain:
     """Alternating p-linear map with coordinates over lexicographic subsets.
 
@@ -52,7 +59,7 @@ class Cochain:
         self.n = n
         self.degree = degree
         self.module_dim = module_dim
-        expected = len(lex_subsets(n, degree)) * module_dim
+        expected = len(_subset_positions(n, degree)) * module_dim
         coords = tuple(Q(c) if isinstance(c, Fraction) else Fraction(c)
                        for c in coords)
         if len(coords) != expected:
@@ -62,15 +69,14 @@ class Cochain:
 
     @classmethod
     def zero(cls, n: int, degree: int, module_dim: int) -> "Cochain":
-        count = len(lex_subsets(n, degree)) * module_dim
+        count = len(_subset_positions(n, degree)) * module_dim
         return cls(n, degree, module_dim, (Q(0),) * count)
 
     @classmethod
     def from_values(cls, n: int, degree: int, module_dim: int,
                     values: Dict[Tuple[int, ...], Sequence]) -> "Cochain":
-        subs = lex_subsets(n, degree)
-        pos = {s: i for i, s in enumerate(subs)}
-        coords = [Q(0)] * (len(subs) * module_dim)
+        pos = _subset_positions(n, degree)
+        coords = [Q(0)] * (len(pos) * module_dim)
         for subset, vec in values.items():
             key = tuple(subset)
             srt = _sort_with_sign(key)
@@ -84,8 +90,10 @@ class Cochain:
 
     def value(self, subset: Tuple[int, ...]) -> Vector:
         """Module value on a sorted basis subset."""
-        subs = lex_subsets(self.n, self.degree)
-        i = subs.index(subset)
+        i = _subset_positions(self.n, self.degree).get(subset)
+        if i is None:
+            raise ValueError(f"{subset} is not a sorted {self.degree}-subset "
+                             f"of range({self.n})")
         return self.coords[i * self.module_dim:(i + 1) * self.module_dim]
 
     def eval_indices(self, indices: Sequence[int]) -> Vector:

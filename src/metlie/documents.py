@@ -42,7 +42,7 @@ def _is_int(x) -> bool:
 
 
 def _q_parse(s, path: str) -> Fraction:
-    if isinstance(s, int):
+    if _is_int(s):
         return Q(s)
     if not isinstance(s, str):
         raise DocumentError(f"expected rational string, got {s!r}", path)
@@ -64,6 +64,8 @@ def _matrix_in(data, path: str, rows: Optional[int] = None,
              for i, row in enumerate(data)]
     if rows is not None and len(table) != rows:
         raise DocumentError(f"expected {rows} rows, got {len(table)}", path)
+    if cols is not None and any(len(r) != cols for r in table):
+        raise DocumentError(f"expected {cols} columns in every row", path)
     try:
         return Matrix(table, rows=len(table),
                       cols=cols if not table else len(table[0]))

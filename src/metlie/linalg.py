@@ -440,6 +440,16 @@ class Subspace:
             raise ValueError("matrix width differs from ambient dim")
         return Subspace.span(mat.rows, tuple(mat.apply(r) for r in self.basis.data))
 
+    def preimage(self, mats: Sequence[Matrix]) -> "Subspace":
+        """{v : a·v in the subspace for every a}: the kernel of the stacked
+        ann·a, with ann the functionals vanishing on the subspace."""
+        if self.dim:
+            ann = self.basis.nullspace()
+            mats = [ann @ a for a in mats]
+        rows = tuple(r for a in mats for r in a.data)
+        kernel = Matrix._trusted(rows, len(rows), self.ambient).nullspace()
+        return Subspace(self.ambient, kernel.rref()[0])
+
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on the subspace, in dual coordinates."""
         return Subspace(self.ambient, self.basis.nullspace().rref()[0]) \

@@ -4,20 +4,33 @@ Validation of representations (with optional invariant symmetric form),
 duals, sub/quotient modules, the module radical and socle, higher
 socle/radical filtrations, and semisimplicity with the invariant split.
 
-The radical R(W) of a submodule W is the minimal submodule with semisimple
-quotient action.  W is restricted to once, and the formula
+Radicals and socles are read off one set of *radical operators* of the
+module V,
 
-    R = rho(N)·W + sum_i s_i(rho(z_i))·W
+    T = {rho(n) : n in a basis of N} ∪ {s_i(rho(z_i))},
 
-runs on that sub-module in its own basis, where N is the nilpotency
-radical of the algebra, the z_i lift a basis of the centre of the reductive
-quotient, and s_i is the squarefree part of the minimal polynomial of
-rho(z_i) on W / rho(N)·W.  Because N is an ideal, rho(N)·W is a submodule
-(x·(n·w) = [x, n]·w + n·(x·w)), so only the induced matrices of the rho(z_i)
-are formed on that quotient, with no further submodule test.  A
-verification pass checks the radical it produced: it re-applies the formula
-to W/R, whose construction tests that R is a submodule, and iterates in
-the (never yet observed) event the result is not already zero.
+where N is the nilpotency radical of the algebra, the z_i lift a basis of
+the centre of the reductive quotient g/N, and s_i is the squarefree part of
+the minimal polynomial of rho(z_i) on the whole of V.  For a submodule W,
+
+    R(W) = span T·W,           R_{k+1} = T·R_k,
+    S(V) = ∩ ker T,            S_{k+1} = {v : T v ⊆ S_k},
+    S(W) = W ∩ S(V),
+
+so every radical is an image and every socle a preimage (one nullspace of
+the stacked ann(S_k)·t), with no restriction, quotient or dual module built.
+
+Why V's own s_i serves every subquotient U of V: each irreducible factor of
+the minimal polynomial of rho(z) on U divides the one on V, so s_V = s_U·t
+with t coprime to s_U, and t(rho(z)) is invertible on U modulo rho(N)U.
+Hence rho(N)U + s_V(rho(z))U = rho(N)U + s_U(rho(z))U.  With the standard
+facts that N acts as zero on every simple module, that the centre of the
+reductive g/N acts semisimply on a module iff that module is semisimple,
+and that rho(N)W and rho(N)W + s(rho(z))W are submodules (N is an ideal
+and [rho(x), rho(z)] ∈ rho(N)), this gives R(W) = J·W and
+S = {v : J v = 0} for the ideal J generated by T.  Each s_i is checked to
+be nonzero and squarefree, so W/R(W) is semisimple by construction; every
+radical, socle and chain member returned is tested as a submodule.
 """
 
 from __future__ import annotations
@@ -28,8 +41,8 @@ from typing import Optional, Sequence, Tuple
 from . import polynomials as poly
 from .lie import (IdealChain, InternalCheckError, LieAlgebra, center,
                   nilpotency_radical, quotient_algebra)
-from .linalg import (Matrix, Subspace, SymmetricForm, Vector, block_coordinates,
-                     block_diagonal, unit_vector)
+from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
+                     block_coordinates, block_diagonal, unit_vector)
 
 
 class Representation:
@@ -61,7 +74,7 @@ class Representation:
         self.action = tuple(action)
         self.form = form
         self._radical_cache = {}
-        self._socle_cache = {}
+        self._socle_cache = None    # S(V); S(W) is W ∩ S(V)
         self._filtration_cache = None
         if validate:
             witness = self.violation()
@@ -69,10 +82,13 @@ class Representation:
                 raise ValueError(f"not a representation: {witness}")
 
     def rho(self, x: Vector) -> Matrix:
-        acc = Matrix.zeros(self.module_dim, self.module_dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                acc = acc + self.action[i].scale(xi)
+        terms = [a if xi == 1 else a.scale(xi)
+                 for a, xi in zip(self.action, x) if xi != 0]
+        if not terms:
+            return Matrix.zeros(self.module_dim, self.module_dim)
+        acc = terms[0]    # rho(e_i) itself for a unit vector
+        for t in terms[1:]:
+            acc = acc + t
         return acc
 
     def violation(self) -> Optional[str]:
@@ -93,9 +109,12 @@ class Representation:
     def is_submodule(self, W: Subspace) -> bool:
         if W.ambient != self.module_dim:
             raise ValueError("ambient dimension mismatch")
-        if W.dim == self.module_dim:
-            return True    # the whole module contains every image
-        return all(W.contains(a.apply(w)) for a in self.action for w in W.basis.data)
+        if W.dim in (0, self.module_dim):
+            return True
+        # a·W ⊆ W iff every functional vanishing on W vanishes on a·W
+        ann = W.basis.nullspace()
+        cols = W.basis.transpose()
+        return all((ann @ (a @ cols)).is_zero() for a in self.action)
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.module_dim)
@@ -169,7 +188,11 @@ def quotient_representation(rep: Representation, U: Subspace
         identity = Matrix.identity(rep.module_dim)
         return (Representation(rep.algebra, rep.action, validate=False,
                                module_dim=rep.module_dim), identity, identity)
-    proj, lift = _quotient_maps(rep.module_dim, U)
+    # projection Q^m -> Q^m/U and lift back, through a complement of U
+    m = rep.module_dim
+    comp = U.complement_in(Subspace.full(m))
+    lift = Matrix.from_columns(comp.basis.data, rows=m)
+    proj = block_coordinates((U.basis.data, comp.basis.data), 1, m)
     mats = []
     for a in rep.action:
         pa = proj @ a
@@ -178,14 +201,6 @@ def quotient_representation(rep: Representation, U: Subspace
             raise ValueError("not a submodule")
         mats.append(pa @ lift)
     return Representation(rep.algebra, tuple(mats), validate=False), proj, lift
-
-
-def _quotient_maps(m: int, U: Subspace) -> Tuple[Matrix, Matrix]:
-    """Projection Q^m -> Q^m/U and lift back, through a complement of U."""
-    comp = U.complement_in(Subspace.full(m))
-    lift = Matrix.from_columns(comp.basis.data, rows=m)
-    proj = block_coordinates((U.basis.data, comp.basis.data), 1, m)
-    return proj, lift
 
 
 def _check_ambient(rep: Representation, U: Subspace):
@@ -231,27 +246,41 @@ def _central_lifts(g: LieAlgebra, nilrad: Subspace) -> Tuple[Vector, ...]:
     return out
 
 
-def _radical_once(rep: Representation, nilrad: Subspace,
-                  lifts: Tuple[Vector, ...]) -> Subspace:
-    """rho(N)·V + sum_i s_i(rho(z_i))·V on the whole module V."""
-    m = rep.module_dim
-    pieces = []
-    for r in nilrad.basis.data:
-        pieces.extend(rep.rho(r).transpose().data)    # images of unit vectors
-    base = Subspace.span(m, pieces)
-    if lifts and base.dim < m:
-        # rho(N)·V is a submodule because N = [g, r] is an ideal
-        # (nilpotency_radical checks it against the ideal r ∩ g'), so
-        # V/rho(N)·V needs no submodule test, and only the central lifts'
-        # induced matrices are formed on it.
-        if base.dim:
-            proj, lift = _quotient_maps(m, base)
-        for z in lifts:
-            rz = rep.rho(z)
-            induced = proj @ rz @ lift if base.dim else rz
-            s = poly.squarefree_part(poly.minimal_polynomial(induced))
-            pieces.extend(poly.evaluate_matrix(s, rz).transpose().data)
-    return Subspace.span(m, pieces)
+def _radical_operators(rep: Representation) -> Tuple[Matrix, ...]:
+    """T = {rho(n) : n in a basis of N} ∪ {s_i(rho(z_i))}, zeros left out.
+
+    Each s_i is the squarefree part of the minimal polynomial of rho(z_i) on
+    the whole module; it is checked to be nonzero and squarefree, which is
+    what makes W/T·W semisimple for every submodule W.
+    """
+    g = rep.algebra
+    nilrad = nilpotency_radical(g)
+    ops = [rep.rho(n) for n in nilrad.basis.data]
+    for z in _central_lifts(g, nilrad):
+        rz = rep.rho(z)
+        s = poly.squarefree_part(poly.minimal_polynomial(rz))
+        if not s or poly.gcd(s, poly.derivative(s)) != (Q(1),):
+            raise InternalCheckError(
+                "squarefree part of a central lift's minimal polynomial "
+                "is zero or has a repeated factor")
+        ops.append(poly.evaluate_matrix(s, rz))
+    return tuple(op for op in ops if not op.is_zero())
+
+
+def _checked_submodule(rep: Representation, U: Subspace, what: str) -> Subspace:
+    if not rep.is_submodule(U):
+        raise InternalCheckError(f"{what} is not a submodule")
+    return U
+
+
+def _radical_of(rep: Representation, W: Subspace,
+                ops: Tuple[Matrix, ...]) -> Subspace:
+    """R(W) = span T·W; the rows of W·tᵀ are the images t·w."""
+    rows = [r for t in ops for r in (W.basis @ t.transpose()).data]
+    # W/R is semisimple by construction (T was checked in
+    # _radical_operators); what is left to test is that R is a submodule.
+    return _checked_submodule(rep, Subspace.span(rep.module_dim, rows),
+                              "radical")
 
 
 def module_radical(rep: Representation, W: Optional[Subspace] = None) -> Subspace:
@@ -261,45 +290,23 @@ def module_radical(rep: Representation, W: Optional[Subspace] = None) -> Subspac
     key = W.basis
     if key in rep._radical_cache:    # W was checked when it was stored
         return rep._radical_cache[key]
-    _check_ambient(rep, W)
-    try:
-        sub, _ = sub_representation(rep, W)
-    except ValueError:
-        raise ValueError("radical of a non-submodule") from None
-    g = rep.algebra
-    nilrad = nilpotency_radical(g)
-    lifts = _central_lifts(g, nilrad)
-    R = _radical_once(sub, nilrad, lifts)
-    # Verification: the formula applied to W/R must give zero.
-    while R.dim < sub.module_dim:
-        qrep, _, lift = quotient_representation(sub, R)
-        again = _radical_once(qrep, nilrad, lifts)
-        if again.dim == 0:
-            break
-        R = R.add(Subspace.span(sub.module_dim,
-                                [lift.apply(v) for v in again.basis.data]))
-    # W-coordinates to ambient ones: the rows of R's basis times W's
-    out = R if W.dim == rep.module_dim else \
-        Subspace.span(rep.module_dim, (R.basis @ W.basis).data)
+    if not rep.is_submodule(W):
+        raise ValueError("radical of a non-submodule")
+    out = _radical_of(rep, W, _radical_operators(rep))
     rep._radical_cache[key] = out
     return out
 
 
 def module_socle(rep: Representation, W: Optional[Subspace] = None) -> Subspace:
-    """Maximal semisimple submodule, via the dual radical: S(W) = R(W*)^perp."""
+    """Maximal semisimple submodule: S(V) = ∩ ker T and S(W) = W ∩ S(V)."""
+    if W is not None and not rep.is_submodule(W):
+        raise ValueError("not a submodule")
+    if rep._socle_cache is None:
+        S = Subspace.zero(rep.module_dim).preimage(_radical_operators(rep))
+        rep._socle_cache = _checked_submodule(rep, S, "socle")
     if W is None:
-        W = rep.full_space()
-    key = W.basis
-    if key in rep._socle_cache:
-        return rep._socle_cache[key]
-    sub_rep, inclusion = sub_representation(rep, W)
-    dual = dual_representation(sub_rep)
-    rad_dual = module_radical(dual)
-    ann = rad_dual.annihilator()  # vectors of W killed by every radical functional
-    out = Subspace.span(rep.module_dim,
-                        tuple(inclusion.apply(v) for v in ann.basis.data))
-    rep._socle_cache[key] = out
-    return out
+        return rep._socle_cache
+    return _checked_submodule(rep, W.intersect(rep._socle_cache), "socle")
 
 
 @dataclass(frozen=True)
@@ -315,24 +322,21 @@ class ModuleFiltration:
 
 
 def filtration(rep: Representation) -> ModuleFiltration:
-    """Higher socles by socles of quotients, higher radicals by iteration."""
+    """Higher socles as preimages and higher radicals as images under T."""
     if rep._filtration_cache is not None:
         return rep._filtration_cache
-    V = rep.full_space()
+    ops = _radical_operators(rep)
     socles = [Subspace.zero(rep.module_dim)]
     while socles[-1].dim < rep.module_dim:
-        qrep, proj, lift = quotient_representation(rep, socles[-1])
-        s = module_socle(qrep)
-        lifted = [lift.apply(v) for v in s.basis.data]
-        nxt = socles[-1].add(Subspace.span(rep.module_dim, lifted))
+        nxt = _checked_submodule(rep, socles[-1].preimage(ops), "socle")
         if nxt == socles[-1]:
             raise InternalCheckError(
                 "socle chain stalled before reaching the module")
         socles.append(nxt)
 
-    radicals = [V]
+    radicals = [rep.full_space()]
     while radicals[-1].dim > 0:
-        nxt = module_radical(rep, radicals[-1])
+        nxt = _radical_of(rep, radicals[-1], ops)
         if nxt == radicals[-1]:
             raise InternalCheckError(
                 "radical chain stalled before reaching zero")

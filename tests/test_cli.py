@@ -232,6 +232,47 @@ class TestBooleansAreNotIntegers:
         assert path in capsys.readouterr().err
 
 
+class TestBooleansAreNotRationals:
+    """JSON true reads as the integer 1 in Python; no rational field of a
+    document may take it either."""
+
+    @pytest.mark.parametrize("kind, payload, path", [
+        ("metric", {"algebra": {"dim": 1, "brackets": []},
+                    "gram": [[True]]}, "$.payload.gram[0][0]"),
+        ("representation", dict(_h1_pair(), gram=[[True]]),
+         "$.payload.gram[0][0]"),
+        ("representation", dict(_h1_pair(), action=[[[True]]] * 3),
+         "$.payload.action[0][0][0]"),
+        ("lie", {"dim": 3, "brackets": [[0, 1, 2, True]]},
+         "$.payload.brackets[0]"),
+        ("cocycle", {"pair": _h1_pair(), "alpha": [[[0, 1], [True]]],
+                     "gamma": []}, "$.payload.alpha[0]"),
+        ("cocycle", {"pair": _h1_pair(), "alpha": [],
+                     "gamma": [[0, 1, 2, True]]}, "$.payload.gamma[0]"),
+    ], ids=["metric-gram", "representation-gram", "action", "bracket-value",
+            "alpha-value", "gamma-value"])
+    def test_boolean_rational_exit_two(self, tmp_path, capsys, kind, payload,
+                                       path):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps({"format_version": "1", "kind": kind,
+                                 "payload": payload}))
+        assert main(["validate", str(f)]) == 2
+        assert path in capsys.readouterr().err
+
+
+class TestMatrixShape:
+    def test_non_square_representation_gram_exit_two(self, tmp_path, capsys):
+        payload = dict(_h1_pair(module_dim=2),
+                       action=[[["0", "0"], ["0", "0"]]] * 3,
+                       gram=[["1", "0", "0"], ["0", "1", "0"]])
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps({"format_version": "1",
+                                 "kind": "representation",
+                                 "payload": payload}))
+        assert main(["validate", str(f)]) == 2
+        assert "$.payload.gram" in capsys.readouterr().err
+
+
 class TestValidateVerdicts:
     def test_invalid_lie_exits_one_not_two(self, tmp_path, capsys):
         # structurally fine, semantically not a Lie algebra

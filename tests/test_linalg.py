@@ -98,6 +98,24 @@ class TestSubspaces:
         assert ops.complement.dim == ops.quotient_dim
         assert U.add(ops.complement) == ops.sum
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_preimage_under_several_maps(self, data):
+        n = data.draw(st.integers(1, 4))
+        rows = st.lists(st.lists(small_q, min_size=n, max_size=n),
+                        min_size=0, max_size=3)
+        S = Subspace.span(n, data.draw(rows))
+        mats = data.draw(st.lists(small_matrix(n, n), max_size=2))
+        P = S.preimage(mats)
+        assert all(S.contains(a.apply(v)) for a in mats for v in P.basis.data)
+        # every vector outside P leaves S under some map: P is a common
+        # nullspace, so its dimension is n minus the stacked rank
+        ann = S.basis.nullspace()
+        stacked = [r for a in mats for r in (ann @ a).data]
+        rank = Matrix.from_rows(stacked, cols=n).rank() if stacked else 0
+        assert P.dim == n - rank
+        assert S.preimage([]) == Subspace.full(n)
+
 
 class TestOrthogonalComplement:
     def test_zero_subspace(self):

@@ -1,26 +1,39 @@
-"""The module radical and minimal polynomial agree with their earlier routes.
+"""Radicals, socles and minimal polynomials agree with their earlier routes.
 
-``module_radical`` restricts to W once and runs the radical formula in the
-sub-module's own basis; ``minimal_polynomial`` multiplies Krylov
+``module_radical``, ``module_socle`` and ``filtration`` read every radical
+and socle off one set of radical operators T of the module (images T·W and
+preimages {v : T v ⊆ S}); ``minimal_polynomial`` multiplies Krylov
 annihilators instead of taking lcms.  The references below are the earlier
-routes: the radical formula in ambient coordinates, with the quotient
-W / rho(N)·W built as a whole representation, and the minimal polynomial as
-the lcm of the annihilators of the unit vectors, each found by one RREF per
-Krylov step and a solve.  Both results are canonical (a reduced-echelon
-basis, a monic polynomial), so the routes must agree exactly.
+routes:
+
+- the radical formula in ambient coordinates, with the quotient
+  W / rho(N)·W built as a whole representation;
+- the radical formula on the restriction to W, in W's own basis, with a
+  verification pass over W/R, the socle as the annihilator of the dual
+  module's radical, and the socle chain through quotient modules;
+- the minimal polynomial as the lcm of the annihilators of the unit
+  vectors, each found by one RREF per Krylov step and a solve.
+
+All results are canonical (a reduced-echelon basis, a monic polynomial), so
+the routes must agree exactly.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from metlie import Matrix, Representation, Subspace, adjoint_representation
+from metlie import documents as doc
+from metlie import modules
 from metlie import polynomials as poly
+from metlie import quadext
 from metlie.catalog import (BASE_NAMES, SweepBounds, base_algebra, catalog_row,
                             enumerate_rows)
-from metlie.lie import direct_sum, nilpotency_radical
-from metlie.linalg import unit_vector
-from metlie.modules import (_central_lifts, dual_representation,
+from metlie.cli import main
+from metlie.lie import InternalCheckError, direct_sum, nilpotency_radical
+from metlie.linalg import block_coordinates, unit_vector
+from metlie.modules import (_central_lifts, dual_representation, filtration,
                             module_radical, module_socle,
                             quotient_representation, sub_representation,
                             submodule_generated)
@@ -106,6 +119,74 @@ def reference_radical(rep, W):
         lifted = [qspace[2].apply(v) for v in again.basis.data]
         R = R.add(Subspace.span(rep.module_dim, lifted))
     return R
+
+
+# --- the restriction route: radical, dual socle, socle chain by quotients --
+
+def restricted_radical_once(rep, nilrad, lifts):
+    """rho(N)·V + sum_i s_i(rho(z_i))·V with s_i taken on V / rho(N)·V."""
+    m = rep.module_dim
+    pieces = []
+    for r in nilrad.basis.data:
+        pieces.extend(rep.rho(r).transpose().data)
+    base = Subspace.span(m, pieces)
+    if lifts and base.dim < m:
+        if base.dim:
+            comp = base.complement_in(Subspace.full(m))
+            lift = Matrix.from_columns(comp.basis.data, rows=m)
+            proj = block_coordinates((base.basis.data, comp.basis.data), 1, m)
+        for z in lifts:
+            rz = rep.rho(z)
+            induced = proj @ rz @ lift if base.dim else rz
+            s = poly.squarefree_part(poly.minimal_polynomial(induced))
+            pieces.extend(poly.evaluate_matrix(s, rz).transpose().data)
+    return Subspace.span(m, pieces)
+
+
+def restricted_radical(rep, W=None):
+    """The formula on the restriction to W, then a verification pass that
+    re-applies it to W/R until it gives zero."""
+    W = rep.full_space() if W is None else W
+    sub, _ = sub_representation(rep, W)
+    g = rep.algebra
+    nilrad = nilpotency_radical(g)
+    lifts = _central_lifts(g, nilrad)
+    R = restricted_radical_once(sub, nilrad, lifts)
+    while R.dim < sub.module_dim:
+        qrep, _, lift = quotient_representation(sub, R)
+        again = restricted_radical_once(qrep, nilrad, lifts)
+        if again.dim == 0:
+            break
+        R = R.add(Subspace.span(sub.module_dim,
+                                [lift.apply(v) for v in again.basis.data]))
+    if W.dim == rep.module_dim:
+        return R
+    return Subspace.span(rep.module_dim, (R.basis @ W.basis).data)
+
+
+def dual_socle(rep, W=None):
+    """S(W) = R(W*)^perp, pulled back through W's inclusion."""
+    W = rep.full_space() if W is None else W
+    sub, inclusion = sub_representation(rep, W)
+    ann = restricted_radical(dual_representation(sub)).annihilator()
+    return Subspace.span(rep.module_dim,
+                         [inclusion.apply(v) for v in ann.basis.data])
+
+
+def quotient_filtration(rep):
+    """S_{k+1} = S_k + the lift of S(V/S_k); R_{k+1} = R(R_k)."""
+    m = rep.module_dim
+    socles = [Subspace.zero(m)]
+    while socles[-1].dim < m:
+        qrep, _, lift = quotient_representation(rep, socles[-1])
+        lifted = [lift.apply(v) for v in dual_socle(qrep).basis.data]
+        socles.append(socles[-1].add(Subspace.span(m, lifted)))
+        assert socles[-1] != socles[-2]
+    radicals = [rep.full_space()]
+    while radicals[-1].dim:
+        radicals.append(restricted_radical(rep, radicals[-1]))
+        assert radicals[-1] != radicals[-2]
+    return tuple(socles), tuple(radicals)
 
 
 # --- inputs ----------------------------------------------------------------
@@ -237,3 +318,125 @@ class TestQuotientByZero:
         module_socle(qrep)
         module_radical(qrep)
         assert not rep._socle_cache and not rep._radical_cache
+
+
+def level_subquotients():
+    """The modules d_k and their subspaces M_k on which the socle route of
+    ``admissibility`` takes socles, recorded on a spread of catalog rows."""
+    seen = []
+    real = quadext.module_socle
+
+    def record(rep, W=None):
+        seen.append((rep, W))
+        return real(rep, W)
+
+    rows = enumerate_rows(SweepBounds(m=1, weight_num=1, weight_den=1))[1::5]
+    quadext.module_socle = record
+    try:
+        for base, variant, params in rows:
+            row = catalog_row(base, variant, params)
+            quadext.admissibility(row.cocycle, model=row.standard)
+    finally:
+        quadext.module_socle = real
+    return seen
+
+
+LEVELS = level_subquotients()
+
+
+def same_filtration(rep):
+    socles, radicals = quotient_filtration(fresh(rep))
+    filt = filtration(fresh(rep))
+    return filt.socles.entries == socles and filt.radicals.entries == radicals
+
+
+class TestOperatorRoute:
+    def test_example_modules(self):
+        for rep in MODULES:
+            assert module_radical(fresh(rep)) == restricted_radical(fresh(rep))
+            assert module_socle(fresh(rep)) == dual_socle(fresh(rep))
+            assert same_filtration(rep)
+
+    @EXAMPLES
+    @given(submodules())
+    def test_random_submodules(self, data):
+        rep, W = data
+        assert module_radical(fresh(rep), W) == \
+            restricted_radical(fresh(rep), W)
+        assert module_socle(fresh(rep), W) == dual_socle(fresh(rep), W)
+
+    def test_level_subquotients(self):
+        assert LEVELS and any(W is not None for _, W in LEVELS)
+        for rep, W in LEVELS:
+            assert module_socle(fresh(rep), W) == dual_socle(fresh(rep), W)
+            if W is None:
+                assert module_radical(fresh(rep)) == \
+                    restricted_radical(fresh(rep))
+                assert same_filtration(rep)
+
+    def test_non_submodules_keep_their_errors(self, n2):
+        rep = adjoint_representation(n2)
+        line = Subspace.span(3, [unit_vector(3, 1)])    # [X, Y] = Z
+        with pytest.raises(ValueError, match="radical of a non-submodule"):
+            module_radical(fresh(rep), line)
+        with pytest.raises(ValueError, match="not a submodule"):
+            module_socle(fresh(rep), line)
+
+
+def n2_type_ii_cocycle():
+    from conftest import rotation_rep
+    from metlie import CochainComplex, QuadraticCocycle
+    n2 = base_algebra("n2")
+    cx = CochainComplex(n2, rotation_rep(n2, [1], extra_trivial=1))
+    alpha = cx.cochain(2, {(1, 2): [0, 0, 1]})
+    return QuadraticCocycle(cx, alpha, cx.zero_cochain(3, scalar=True))
+
+
+class TestOperatorChecks:
+    """A stray operator added to T of the adjoint module of the
+    9-dimensional model (basis l*, a, l) must trip a submodule check.
+    Sending e_8 to e_3 leaves the socle chain as it was, but the second
+    radical becomes l* + span(e_3, e_5), which is not an ideal.  Sending e_1
+    to e_4 drops e_1 from the second socle, which is then not an ideal."""
+
+    @staticmethod
+    def add_stray_operator(monkeypatch, target, source):
+        real = modules._radical_operators
+
+        def patched(rep):
+            ops = real(rep)
+            if rep.module_dim != 9:
+                return ops
+            rows = [[0] * 9 for _ in range(9)]
+            rows[target][source] = 1
+            return ops + (Matrix(rows, 9, 9),)
+        monkeypatch.setattr(modules, "_radical_operators", patched)
+
+    @pytest.mark.parametrize("target, source, what", [
+        (3, 8, "radical"), (4, 1, "socle")])
+    def test_filtration_raises(self, monkeypatch, target, source, what):
+        ad_d = quadext.build_model(n2_type_ii_cocycle()).metric.adjoint_module()
+        self.add_stray_operator(monkeypatch, target, source)
+        with pytest.raises(InternalCheckError,
+                           match=f"{what} is not a submodule"):
+            filtration(fresh(ad_d))
+
+    def test_repeated_factor_in_an_operator_raises(self, monkeypatch):
+        # t^2 is the minimal polynomial of a Jordan block: an s_i that kept
+        # the repeated factor would leave its radical at zero
+        rep = Representation(base_algebra("R1"), (Matrix([[0, 1], [0, 0]]),))
+        assert module_radical(fresh(rep)).dim == 1
+        monkeypatch.setattr(modules.poly, "squarefree_part", poly.monic)
+        with pytest.raises(InternalCheckError, match="repeated factor"):
+            module_radical(fresh(rep))
+
+    def test_check_balanced_exits_three(self, monkeypatch, tmp_path, capsys):
+        f = tmp_path / "n2II.json"
+        f.write_text(doc.dump_cocycle(n2_type_ii_cocycle()))
+        assert main(["check-balanced", str(f)]) == 0
+        capsys.readouterr()
+        self.add_stray_operator(monkeypatch, 3, 8)
+        assert main(["check-balanced", str(f)]) == 3
+        err = capsys.readouterr().err
+        assert "internal cross-check failure" in err
+        assert "radical is not a submodule" in err
