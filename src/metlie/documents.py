@@ -23,6 +23,11 @@ FORMAT_VERSION = "1"
 KINDS = ("lie", "metric", "representation", "cocycle", "extension",
          "catalog_row")
 
+# Largest algebra `dim` and `module_dim` a document may declare.  A dimension
+# is rejected before anything of its size is allocated (the structure table
+# alone has dim**3 entries); the tests and the benchmark stay below 20.
+MAX_DIM = 64
+
 
 class DocumentError(ValueError):
     """Malformed document; carries a location path for the report."""
@@ -50,6 +55,17 @@ def _q_parse(s, path: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational {s!r}: {exc}", path)
+
+
+def _dim_in(payload: Dict, key: str, path: str) -> int:
+    x = payload.get(key)
+    if not _is_int(x) or x < 0:
+        raise DocumentError(f"{key} must be a non-negative integer",
+                            f"{path}.{key}")
+    if x > MAX_DIM:
+        raise DocumentError(f"{key} {x} exceeds the cap of {MAX_DIM}",
+                            f"{path}.{key}")
+    return x
 
 
 def _matrix_out(m: Matrix) -> List[List[str]]:
@@ -114,9 +130,7 @@ def lie_from_payload(payload, path: str = "$.payload",
                      validate: bool = True) -> LieAlgebra:
     if not isinstance(payload, dict):
         raise DocumentError("expected an object", path)
-    dim = payload.get("dim")
-    if not _is_int(dim) or dim < 0:
-        raise DocumentError("dim must be a non-negative integer", f"{path}.dim")
+    dim = _dim_in(payload, "dim", path)
     brackets: Dict[Tuple[int, int], List[Fraction]] = {}
     entries = payload.get("brackets", [])
     if not isinstance(entries, list):
@@ -175,10 +189,7 @@ def representation_from_payload(payload, path: str = "$.payload",
         raise DocumentError("expected an object", path)
     g = lie_from_payload(payload.get("algebra"), f"{path}.algebra",
                          validate=validate)
-    m = payload.get("module_dim")
-    if not _is_int(m) or m < 0:
-        raise DocumentError("module_dim must be a non-negative integer",
-                            f"{path}.module_dim")
+    m = _dim_in(payload, "module_dim", path)
     raw = payload.get("action")
     if not isinstance(raw, list) or len(raw) != g.dim:
         raise DocumentError("need one action matrix per basis element",

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
-                     block_coordinates, rational, unit_vector, vec_add,
-                     vec_scale, zero_vector)
+                     block_coordinates, linear_combination, rational,
+                     unit_vector, vec_add, vec_scale, zero_vector)
 
 
 class JacobiError(ValueError):
@@ -74,11 +74,8 @@ class LieAlgebra:
         return self._ad[i]
 
     def ad_vector(self, x: Vector) -> Matrix:
-        acc = Matrix.zeros(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                acc = acc + self.ad(i).scale(xi)
-        return acc
+        return linear_combination(
+            ((xi, self.ad(i)) for i, xi in enumerate(x) if xi != 0), self.dim)
 
     def jacobi_witness(self) -> Optional[Tuple[int, int, int, Vector]]:
         """First violating basis triple with its cyclic-sum defect, if any.
@@ -163,8 +160,10 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
 
 
 def bracket_subspace(g: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:
-    """Span of [u, v] over basis vectors of U and V."""
-    rows = [g.bracket(u, v) for u in U.basis.data for v in V.basis.data]
+    """Span of [u, v] over basis vectors of U and V: the rows of
+    V·ad(u)ᵀ are the brackets [u, v]."""
+    rows = [r for u in U.basis.data
+            for r in (V.basis @ g.ad_vector(u).transpose()).data]
     return Subspace.span(g.dim, rows)
 
 
@@ -260,8 +259,11 @@ def killing_form(g: LieAlgebra) -> SymmetricForm:
                     total += x * b.data[c][r]
         return total
 
-    gram = Matrix(tuple(tuple(trace_product(ads[i], ads[j]) for j in range(n))
-                        for i in range(n)), n, n)
+    rows = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = trace_product(ads[i], ads[j])
+    gram = Matrix(rows, n, n)
     out = SymmetricForm(gram)
     g._cache["killing"] = out
     return out
@@ -299,11 +301,12 @@ def nilpotency_radical(g: LieAlgebra) -> Subspace:
 
 
 def is_ideal(g: LieAlgebra, U: Subspace) -> bool:
-    for i in range(g.dim):
-        for u in U.basis.data:
-            if not U.contains(g.bracket(unit_vector(g.dim, i), u)):
-                return False
-    return True
+    """ad(e_i)·U ⊆ U for every i, tested as ann(U)·ad(e_i)·Uᵀ = 0."""
+    if U.dim in (0, g.dim):
+        return True
+    ann = U.basis.nullspace()
+    cols = U.basis.transpose()
+    return all((ann @ (g.ad(i) @ cols)).is_zero() for i in range(g.dim))
 
 
 def subalgebra_restriction(g: LieAlgebra, U: Subspace,

@@ -306,6 +306,19 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def linear_combination(terms: Iterable[Tuple[Fraction, Matrix]],
+                       n: int) -> Matrix:
+    """Sum of c·a over the (c, a) with c nonzero, as an n x n matrix; a
+    itself, not a copy, when it is the only term and c = 1."""
+    scaled = [a if c == 1 else a.scale(c) for c, a in terms if c != 0]
+    if not scaled:
+        return Matrix.zeros(n, n)
+    acc = scaled[0]
+    for t in scaled[1:]:
+        acc = acc + t
+    return acc
+
+
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     """The blocks placed along the diagonal, zeros elsewhere."""
     cols = sum(b.cols for b in blocks)

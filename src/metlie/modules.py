@@ -17,6 +17,10 @@ the minimal polynomial of rho(z_i) on the whole of V.  For a submodule W,
     S(V) = ∩ ker T,            S_{k+1} = {v : T v ⊆ S_k},
     S(W) = W ∩ S(V),
 
+and, for submodules U ⊆ W, the socle of the subquotient W/U lifts to
+
+    {v ∈ W : T v ⊆ U} = W ∩ U.preimage(T),
+
 so every radical is an image and every socle a preimage (one nullspace of
 the stacked ann(S_k)·t), with no restriction, quotient or dual module built.
 
@@ -35,14 +39,15 @@ radical, socle and chain member returned is tested as a submodule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from . import polynomials as poly
 from .lie import (IdealChain, InternalCheckError, LieAlgebra, center,
                   nilpotency_radical, quotient_algebra)
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
-                     block_coordinates, block_diagonal, unit_vector)
+                     block_coordinates, block_diagonal, linear_combination,
+                     unit_vector)
 
 
 class Representation:
@@ -82,14 +87,7 @@ class Representation:
                 raise ValueError(f"not a representation: {witness}")
 
     def rho(self, x: Vector) -> Matrix:
-        terms = [a if xi == 1 else a.scale(xi)
-                 for a, xi in zip(self.action, x) if xi != 0]
-        if not terms:
-            return Matrix.zeros(self.module_dim, self.module_dim)
-        acc = terms[0]    # rho(e_i) itself for a unit vector
-        for t in terms[1:]:
-            acc = acc + t
-        return acc
+        return linear_combination(zip(x, self.action), self.module_dim)
 
     def violation(self) -> Optional[str]:
         """First failed homomorphism or skew-adjointness identity, if any."""
@@ -313,6 +311,8 @@ def module_socle(rep: Representation, W: Optional[Subspace] = None) -> Subspace:
 class ModuleFiltration:
     socles: IdealChain       # S_0 = 0 ⊂ S_1 ⊂ ... ⊂ V, increasing
     radicals: IdealChain     # V = R_0 ⊃ R_1 ⊃ ... ⊃ 0, decreasing
+    # the radical operators T both chains were read off
+    operators: Tuple[Matrix, ...] = field(compare=False, repr=False)
 
     def socle(self, k: int) -> Subspace:
         return self.socles[min(k, len(self.socles) - 1)]
@@ -343,7 +343,8 @@ def filtration(rep: Representation) -> ModuleFiltration:
         radicals.append(nxt)
 
     out = ModuleFiltration(IdealChain(tuple(socles), increasing=True),
-                           IdealChain(tuple(radicals), increasing=False))
+                           IdealChain(tuple(radicals), increasing=False),
+                           ops)
     rep._filtration_cache = out
     return out
 

@@ -4,8 +4,10 @@ Builds d(l, a, rho; alpha, gamma) on l* + a + l with the hyperbolic-plus-a
 form, the modified model with an extra invariant form on l, the unipotent
 isometries Psi(tau, sigma), the balancedness test through the canonical
 isotropic ideal, the per-level admissibility conditions evaluated through
-socles of the associated quotient modules, and decidable indecomposability
-for the base-algebra shapes where complete case analysis is available.
+the socles of the subquotients h_k/h_k^perp (read as preimages under the
+radical operators of the model's adjoint module), and decidable
+indecomposability for the base-algebra shapes where complete case analysis
+is available.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
                      unit_vector, vec_add, vec_scale, zero_vector)
 from .metric import MetricLieAlgebra, canonical_ideals, invariance_witness
 from .modules import (Representation, adjoint_representation, filtration,
-                      invariant_split, is_semisimple, module_socle,
-                      quotient_representation, sub_representation)
+                      invariant_split, is_semisimple)
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,12 @@ def psi_map(cx: CochainComplex, c: QuadraticCochain) -> Matrix:
 
 @dataclass(frozen=True)
 class LevelConditions:
+    """(A_k) and (B_k) at one level.
+
+    ``socle`` is the socle of d_k = h_k/h_k^perp lifted to h_k, a subspace
+    of d; ``witness`` is that lift when (A_k) fails and the a-block P of
+    the socle of M_k when (B_k) fails.
+    """
     k: int
     a_holds: bool
     b_holds: bool
@@ -274,9 +281,10 @@ def admissibility(z: QuadraticCocycle,
     elif model.alpha != z.alpha or model.gamma != z.gamma:
         raise ValueError("supplied model was built from different data")
     d = model.metric
-    N = d.dim
-    n, m = l.dim, rep.module_dim
     ad_d = d.adjoint_module()
+    # the radical operators of d's adjoint module serve every level; the
+    # direct route below reads the same filtration
+    ops = filtration(ad_d).operators
     base_filt = filtration(adjoint_representation(l))
 
     per_k: List[LevelConditions] = []
@@ -285,7 +293,7 @@ def admissibility(z: QuadraticCocycle,
         r_k = base_filt.radical(k)
         if r_k.dim == 0:
             break
-        level = _level_conditions(z, model, ad_d, r_k, k)
+        level = _level_conditions(z, model, ad_d, ops, r_k, k)
         per_k.append(level)
         k += 1
 
@@ -310,49 +318,50 @@ def admissibility(z: QuadraticCocycle,
 
 
 def _level_conditions(z: QuadraticCocycle, model: StandardModel,
-                      ad_d, r_k: Subspace, k: int) -> LevelConditions:
+                      ad_d: Representation, ops: Tuple[Matrix, ...],
+                      r_k: Subspace, k: int) -> LevelConditions:
     cx = z.complex
     n, m = cx.algebra.dim, cx.rep.module_dim
     d = model.metric
     N = d.dim
 
-    h_rows = [unit_vector(N, a) for a in range(n + m)]
-    h_rows += [tuple(zero_vector(n + m)) + tuple(v) for v in r_k.basis.data]
-    h_k = Subspace.span(N, h_rows)
+    la_rows = [unit_vector(N, a) for a in range(n + m)]
+    la = Subspace.span(N, la_rows)
+    h_k = Subspace.span(N, la_rows + [tuple(zero_vector(n + m)) + tuple(v)
+                                      for v in r_k.basis.data])
     h_perp = orthogonal_complement(h_k, d.form)
     if not h_k.contains_subspace(h_perp):
         raise InternalCheckError("h_k is not coisotropic")
 
-    sub_rep, inclusion = sub_representation(ad_d, h_k)
-    perp_in_h = Subspace.span(h_k.dim,
-                              [h_k.coordinates(v) for v in h_perp.basis.data])
-    q_rep, proj, lift = quotient_representation(sub_rep, perp_in_h)
+    # Everything is read in d itself, with no complement or lift of the
+    # subquotient d_k = h_k/h_k^perp: h_k contains l* + a, so h_k^perp lies
+    # in (l* + a)^perp = l* (also for the modified forms, whose l-l block
+    # pairs nothing with l* + a).  So l* + a is the whole preimage of M_k
+    # in h_k, and any lift of a vector of d_k has the same a-block.
+    socle = _lifted_socle(ops, h_k, h_perp)
+    if not ad_d.is_submodule(socle):
+        raise InternalCheckError("level socle is not a submodule")
+    a_holds = la.contains_subspace(socle)
 
-    # M_k = image of l* + a inside d_k
-    la_rows = []
-    for a in range(n + m):
-        coords = h_k.coordinates(unit_vector(N, a))
-        la_rows.append(proj.apply(coords))
-    M_k = Subspace.span(q_rep.module_dim, la_rows)
-
-    socle_dk = module_socle(q_rep)
-    a_holds = M_k.contains_subspace(socle_dk)
-
-    socle_Mk = module_socle(q_rep, M_k)
-    # project d_k onto the module block of d
-    pr_rows = []
-    for v in socle_Mk.basis.data:
-        ambient = inclusion.apply(lift.apply(v))
-        pr_rows.append(ambient[n:n + m])
-    P = Subspace.span(m, pr_rows)
+    socle_Mk = la.intersect(socle)
+    if not ad_d.is_submodule(socle_Mk):
+        raise InternalCheckError("level socle of M_k is not a submodule")
+    P = Subspace.span(m, [v[n:n + m] for v in socle_Mk.basis.data])
     b_holds = cx.rep.form.restrict(P).is_nondegenerate()
 
     witness = None
     if not a_holds:
-        witness = socle_dk
+        witness = socle
     elif not b_holds:
         witness = P
-    return LevelConditions(k, a_holds, b_holds, witness, socle_dk, P)
+    return LevelConditions(k, a_holds, b_holds, witness, socle, P)
+
+
+def _lifted_socle(ops: Tuple[Matrix, ...], h_k: Subspace,
+                  h_perp: Subspace) -> Subspace:
+    """The socle of d_k = h_k/h_k^perp lifted to h_k:
+    {v in h_k : T v ⊆ h_k^perp}."""
+    return h_k.intersect(h_perp.preimage(ops))
 
 
 def _rho_kernel(rep: Representation) -> Subspace:

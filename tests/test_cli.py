@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -271,6 +272,53 @@ class TestMatrixShape:
                                  "payload": payload}))
         assert main(["validate", str(f)]) == 2
         assert "$.payload.gram" in capsys.readouterr().err
+
+
+class TestSizeCap:
+    """A declared dimension above documents.MAX_DIM exits 2 at its path
+    before anything of that size is allocated.  The constructors are
+    replaced by ones that fail the test, and the lie document's bracket
+    entry, whose coordinate list has the declared length, is read only
+    after the check; 10**9 comes with no bracket entry, so that a missing
+    check fails the test without allocating."""
+
+    @pytest.mark.parametrize("size", [doc.MAX_DIM + 1, 10 ** 9],
+                             ids=["cap+1", "1e9"])
+    @pytest.mark.parametrize("kind, path", [
+        ("lie", "$.payload.dim"),
+        ("representation", "$.payload.module_dim")])
+    def test_exit_two_before_allocation(self, monkeypatch, tmp_path, capsys,
+                                        size, kind, path):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("constructed past the size cap")
+        monkeypatch.setattr(doc, "LieAlgebra" if kind == "lie"
+                            else "Representation", unreachable)
+        brackets = [[0, 1, 0, "1"]] if size < 10 ** 9 else []
+        if kind == "lie":
+            payload = {"dim": size, "brackets": brackets}
+        else:
+            payload = {"algebra": {"dim": 0, "brackets": []},
+                       "module_dim": size, "action": []}
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps({"format_version": "1", "kind": kind,
+                                 "payload": payload}))
+        tracemalloc.start()
+        try:
+            code = main(["validate", str(f)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert path in capsys.readouterr().err
+        assert peak < 1 << 20
+
+    def test_cap_admits_its_own_size(self):
+        g = doc.lie_from_payload({"dim": doc.MAX_DIM, "brackets": []},
+                                 validate=False)
+        rep = doc.representation_from_payload(
+            {"algebra": {"dim": 0, "brackets": []},
+             "module_dim": doc.MAX_DIM, "action": []})
+        assert g.dim == rep.module_dim == doc.MAX_DIM
 
 
 class TestValidateVerdicts:

@@ -12,18 +12,26 @@ routes:
   verification pass over W/R, the socle as the annihilator of the dual
   module's radical, and the socle chain through quotient modules;
 - the minimal polynomial as the lcm of the annihilators of the unit
-  vectors, each found by one RREF per Krylov step and a solve.
+  vectors, each found by one RREF per Krylov step and a solve;
+- the levels of ``admissibility`` through d_k = h_k/h_k^perp built as a
+  module (restriction to h_k, then quotient by h_k^perp) and the socles of
+  d_k and M_k taken with d_k's own radical operators, where
+  ``admissibility`` reads them as preimages under the model's T.
 
 All results are canonical (a reduced-echelon basis, a monic polynomial), so
 the routes must agree exactly.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metlie import Matrix, Representation, Subspace, adjoint_representation
+from conftest import random_cocycle, rotation_rep
+from metlie import (Cochain, CochainComplex, Matrix, QuadraticCocycle,
+                    Representation, Subspace, SymmetricForm,
+                    adjoint_representation)
 from metlie import documents as doc
 from metlie import modules
 from metlie import polynomials as poly
@@ -32,11 +40,11 @@ from metlie.catalog import (BASE_NAMES, SweepBounds, base_algebra, catalog_row,
                             enumerate_rows)
 from metlie.cli import main
 from metlie.lie import InternalCheckError, direct_sum, nilpotency_radical
-from metlie.linalg import block_coordinates, unit_vector
+from metlie.linalg import block_coordinates, orthogonal_complement, unit_vector
 from metlie.modules import (_central_lifts, dual_representation, filtration,
                             module_radical, module_socle,
                             quotient_representation, sub_representation,
-                            submodule_generated)
+                            submodule_generated, trivial_representation)
 
 Q = Fraction
 EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True)
@@ -320,25 +328,54 @@ class TestQuotientByZero:
         assert not rep._socle_cache and not rep._radical_cache
 
 
+# --- the earlier level route of admissibility ------------------------------
+
+def reference_level(z, model, r_k):
+    """d_k = h_k/h_k^perp built as a module, M_k inside it, and (A_k),
+    (B_k), P from the socles of that module: T is built on d_k itself."""
+    cx = z.complex
+    n, m = cx.algebra.dim, cx.rep.module_dim
+    d = model.metric
+    N = d.dim
+    h_rows = [unit_vector(N, a) for a in range(n + m)]
+    h_rows += [(Q(0),) * (n + m) + tuple(v) for v in r_k.basis.data]
+    h_k = Subspace.span(N, h_rows)
+    h_perp = orthogonal_complement(h_k, d.form)
+    sub_rep, inclusion = sub_representation(d.adjoint_module(), h_k)
+    perp_in_h = Subspace.span(h_k.dim,
+                              [h_k.coordinates(v) for v in h_perp.basis.data])
+    q_rep, proj, lift = quotient_representation(sub_rep, perp_in_h)
+    M_k = Subspace.span(q_rep.module_dim,
+                        [proj.apply(h_k.coordinates(unit_vector(N, a)))
+                         for a in range(n + m)])
+    a_holds = M_k.contains_subspace(module_socle(q_rep))
+    P = Subspace.span(m, [inclusion.apply(lift.apply(v))[n:n + m]
+                          for v in module_socle(q_rep, M_k).basis.data])
+    b_holds = cx.rep.form.restrict(P).is_nondegenerate()
+    return q_rep, M_k, (a_holds, b_holds, P)
+
+
+def reference_levels(z, model):
+    """One reference_level per nonzero radical of l's adjoint module."""
+    base = filtration(adjoint_representation(z.complex.algebra))
+    return [reference_level(z, model, r) for r in base.radicals if r.dim]
+
+
+def level_conditions(report):
+    return [(lv.a_holds, lv.b_holds, lv.b_subspace) for lv in report.per_k]
+
+
 def level_subquotients():
-    """The modules d_k and their subspaces M_k on which the socle route of
-    ``admissibility`` takes socles, recorded on a spread of catalog rows."""
-    seen = []
-    real = quadext.module_socle
-
-    def record(rep, W=None):
-        seen.append((rep, W))
-        return real(rep, W)
-
+    """Each level's d_k and M_k from the earlier route, with the conditions
+    that route and ``admissibility`` give, on a spread of catalog rows."""
+    out = []
     rows = enumerate_rows(SweepBounds(m=1, weight_num=1, weight_den=1))[1::5]
-    quadext.module_socle = record
-    try:
-        for base, variant, params in rows:
-            row = catalog_row(base, variant, params)
-            quadext.admissibility(row.cocycle, model=row.standard)
-    finally:
-        quadext.module_socle = real
-    return seen
+    for base, variant, params in rows:
+        row = catalog_row(base, variant, params)
+        report = quadext.admissibility(row.cocycle, model=row.standard)
+        out.append((reference_levels(row.cocycle, row.standard),
+                    level_conditions(report)))
+    return out
 
 
 LEVELS = level_subquotients()
@@ -366,10 +403,13 @@ class TestOperatorRoute:
         assert module_socle(fresh(rep), W) == dual_socle(fresh(rep), W)
 
     def test_level_subquotients(self):
-        assert LEVELS and any(W is not None for _, W in LEVELS)
-        for rep, W in LEVELS:
-            assert module_socle(fresh(rep), W) == dual_socle(fresh(rep), W)
-            if W is None:
+        assert LEVELS and all(refs for refs, _ in LEVELS)
+        for refs, conditions in LEVELS:
+            assert [ref for _, _, ref in refs] == conditions
+            for rep, M_k, _ in refs:
+                for W in (None, M_k):
+                    assert module_socle(fresh(rep), W) == \
+                        dual_socle(fresh(rep), W)
                 assert module_radical(fresh(rep)) == \
                     restricted_radical(fresh(rep))
                 assert same_filtration(rep)
@@ -383,9 +423,64 @@ class TestOperatorRoute:
             module_socle(fresh(rep), line)
 
 
+def level_cocycle(name, module, weight, kind, seed):
+    """A class on a base algebra with a trivial or rotation module: random
+    (``conftest.random_cocycle``), gamma-only (alpha = 0, gamma a random
+    closed 3-form) or zero.  Random classes are rarely inadmissible; the
+    other two often are."""
+    l = base_algebra(name)
+    if module == "rotation":
+        rep = rotation_rep(l, [weight], extra_trivial=1)
+    else:
+        rep = trivial_representation(l, weight,
+                                     SymmetricForm.euclidean(weight))
+    cx = CochainComplex(l, rep)
+    rng = random.Random(seed)
+    if kind == "random":
+        return random_cocycle(rng, cx)
+    gamma = cx.zero_cochain(3, scalar=True)
+    if kind == "gamma-only":
+        for row in cx.scalar_complex().d_matrix(3).nullspace().data:
+            c = Q(rng.randint(-3, 3))
+            gamma = gamma + Cochain(cx.n, 3, 1, [c * x for x in row])
+    return QuadraticCocycle(cx, cx.zero_cochain(2), gamma)
+
+
+level_cocycles = st.builds(
+    level_cocycle, st.sampled_from(("n2", "r3m1", "h1", "R2")),
+    st.sampled_from(("trivial", "rotation")), st.integers(1, 2),
+    st.sampled_from(("random", "gamma-only", "zero")),
+    st.integers(0, 2 ** 16))
+
+
+def same_levels(z):
+    """Both routes on one class; returns the verdict."""
+    model = quadext.build_model(z)
+    report = quadext.admissibility(z, model=model)
+    assert [ref for _, _, ref in reference_levels(z, model)] == \
+        level_conditions(report)
+    return report.admissible
+
+
+class TestLevelRoute:
+    """Every level's (A_k), (B_k) and P from the radical operators of the
+    model's adjoint module equal those from T built on each d_k."""
+
+    @EXAMPLES
+    @given(level_cocycles)
+    def test_random_classes(self, z):
+        same_levels(z)
+
+    def test_both_verdicts(self):
+        verdicts = {same_levels(level_cocycle(name, module, 1, kind, 0))
+                    for name, module, kind in (
+                        ("n2", "rotation", "random"),
+                        ("n2", "rotation", "zero"),
+                        ("h1", "trivial", "gamma-only"))}
+        assert verdicts == {True, False}
+
+
 def n2_type_ii_cocycle():
-    from conftest import rotation_rep
-    from metlie import CochainComplex, QuadraticCocycle
     n2 = base_algebra("n2")
     cx = CochainComplex(n2, rotation_rep(n2, [1], extra_trivial=1))
     alpha = cx.cochain(2, {(1, 2): [0, 0, 1]})
@@ -440,3 +535,35 @@ class TestOperatorChecks:
         err = capsys.readouterr().err
         assert "internal cross-check failure" in err
         assert "radical is not a submodule" in err
+
+
+class TestLevelSocleCheck:
+    """Each lifted level socle is tested as a submodule of the model's
+    adjoint module.  The patched helper returns the line of Y in the l
+    block of the 9-dimensional n2 model, which [X, Y] = Z leaves."""
+
+    @staticmethod
+    def break_level_socle(monkeypatch):
+        def patched(ops, h_k, h_perp):
+            return Subspace.span(h_k.ambient, [unit_vector(h_k.ambient, 7)])
+        monkeypatch.setattr(quadext, "_lifted_socle", patched)
+
+    def test_admissibility_raises(self, monkeypatch):
+        z = n2_type_ii_cocycle()
+        assert quadext.admissibility(z).admissible
+        self.break_level_socle(monkeypatch)
+        with pytest.raises(InternalCheckError,
+                           match="level socle is not a submodule"):
+            quadext.admissibility(z)
+
+    def test_check_admissible_exits_three(self, monkeypatch, tmp_path,
+                                          capsys):
+        f = tmp_path / "n2II.json"
+        f.write_text(doc.dump_cocycle(n2_type_ii_cocycle()))
+        assert main(["check-admissible", str(f)]) == 0
+        capsys.readouterr()
+        self.break_level_socle(monkeypatch)
+        assert main(["check-admissible", str(f)]) == 3
+        err = capsys.readouterr().err
+        assert "internal cross-check failure" in err
+        assert "level socle is not a submodule" in err

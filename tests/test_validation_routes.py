@@ -4,18 +4,24 @@ Jacobi and invariance are checked as matrix identities (ad is a
 homomorphism; every ad(e_k) is skew-adjoint for the form), and the basis
 triples are walked only to name a witness.  The references below are the
 triple walks themselves, kept here so that the first witness of a failing
-input can be compared as well as the verdict.  Linalg builds its own
-results without re-validating them; those must equal what the validating
-constructor makes of the same rows.
+input can be compared as well as the verdict.  Ideals, bracket spaces and
+the Killing form are matrix computations too (ann(U)·ad(e_i)·Uᵀ = 0, the
+rows of V·ad(u)ᵀ, traces of i ≤ j only); their references are the bracket
+walks they replaced.  Linalg builds its own results without re-validating
+them; those must equal what the validating constructor makes of the same
+rows.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from metlie import LieAlgebra, Matrix, SymmetricForm, killing_form
+from metlie import (LieAlgebra, Matrix, SymmetricForm, adjoint_representation,
+                    killing_form, structure_report)
 from metlie.catalog import BASE_NAMES, base_algebra, catalog_row
-from metlie.lie import direct_sum
+from metlie.lie import (bracket_subspace, derived_subalgebra, direct_sum,
+                        is_ideal)
+from metlie.modules import submodule_generated
 from metlie.linalg import (Subspace, block_coordinates, block_diagonal,
                            unit_vector, vec_add)
 from metlie.metric import invariance_witness
@@ -187,6 +193,89 @@ class TestInvarianceRoutes:
         skew = all(form.is_skew_adjoint(g.ad(k)) for k in range(g.dim))
         assert skew == (walk is None)
         assert invariance_witness(g, form) == walk
+
+
+def reference_bracket_subspace(g, U, V):
+    return Subspace.span(g.dim, [g.bracket(u, v) for u in U.basis.data
+                                 for v in V.basis.data])
+
+
+def reference_is_ideal(g, U):
+    return all(U.contains(g.bracket(unit_vector(g.dim, i), u))
+               for i in range(g.dim) for u in U.basis.data)
+
+
+def reference_series(g, step):
+    """V_0 = g, V_{k+1} = step(V_k) until it stops shrinking."""
+    chain = [Subspace.full(g.dim)]
+    while chain[-1].dim > 0:
+        nxt = step(chain[-1])
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return tuple(chain)
+
+
+def reference_killing_gram(g):
+    ads = [g.ad(i) for i in range(g.dim)]
+    return Matrix([[(a @ b).trace() for b in ads] for a in ads], g.dim, g.dim)
+
+
+@st.composite
+def subspaces(draw, g):
+    """The span of up to three small vectors, or the ideal they generate."""
+    vectors = [tuple(Q(draw(small_int)) for _ in range(g.dim))
+               for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        return submodule_generated(adjoint_representation(g), vectors)
+    return Subspace.span(g.dim, vectors)
+
+
+@st.composite
+def algebras(draw):
+    """A valid algebra in a random basis, or random structure constants."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        brackets = {(i, j): tuple(Q(draw(small_int)) for _ in range(n))
+                    for i in range(n) for j in range(i + 1, n)}
+        return LieAlgebra(n, brackets, validate=False)
+    g = draw(st.sampled_from(ALGEBRAS))
+    return rebased(g, draw(basis_changes(g.dim)))
+
+
+@st.composite
+def algebra_subspaces(draw):
+    g = draw(algebras())
+    return g, draw(subspaces(g)), draw(subspaces(g))
+
+
+class TestLieRoutes:
+    def test_examples_include_both_verdicts(self):
+        n2 = base_algebra("n2")
+        line = Subspace.span(3, [unit_vector(3, 1)])    # [X, Y] = Z
+        assert not is_ideal(n2, line) and not reference_is_ideal(n2, line)
+        for g in ALGEBRAS:
+            assert is_ideal(g, derived_subalgebra(g))
+
+    @EXAMPLES
+    @given(algebra_subspaces())
+    def test_ideals_and_bracket_spaces(self, data):
+        g, U, V = data
+        assert is_ideal(g, U) == reference_is_ideal(g, U)
+        assert is_ideal(g, V) == reference_is_ideal(g, V)
+        assert bracket_subspace(g, U, V) == reference_bracket_subspace(g, U, V)
+
+    @EXAMPLES
+    @given(algebras())
+    def test_series_and_killing_form(self, g):
+        full = Subspace.full(g.dim)
+        report = structure_report(g)
+        assert report.derived == reference_bracket_subspace(g, full, full)
+        assert report.lower_central.entries == reference_series(
+            g, lambda V: reference_bracket_subspace(g, full, V))
+        assert report.derived_series.entries == reference_series(
+            g, lambda V: reference_bracket_subspace(g, V, V))
+        assert killing_form(g).gram == reference_killing_gram(g)
 
 
 def assert_canonical(m: Matrix):
