@@ -9,11 +9,13 @@ values of the ambient coordinate space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
                      block_coordinates, linear_combination, rational,
-                     unit_vector, vec_add, vec_scale, zero_vector)
+                     stack_rows, unit_vector, vec_add, vec_scale,
+                     zero_vector)
 
 
 class JacobiError(ValueError):
@@ -106,13 +108,18 @@ class LieAlgebra:
         triple (i, j, k).  Of any three distinct indices two lie in the same
         half, {0, ..., n//2 - 1} or {n//2, ..., n - 1}, so these pairs cover
         every triple; triples with a repeated index hold by antisymmetry.
+        A pair where ad(e_i) or ad(e_j) is zero is skipped: both sides
+        vanish there, since [ad e_i, ad e_j] = 0 and
+        [e_i, e_j] = ad(e_i)e_j = −ad(e_j)e_i = 0.
         """
         n, half = self.dim, self.dim // 2
         ads = [self.ad(i) for i in range(n)]
+        live = [not a.is_zero() for a in ads]
         return all(self.ad_vector(self.table[i][j])
                    == ads[i] @ ads[j] - ads[j] @ ads[i]
                    for lo, hi in ((0, half), (half, n))
-                   for i in range(lo, hi) for j in range(i + 1, hi))
+                   for i in range(lo, hi) if live[i]
+                   for j in range(i + 1, hi) if live[j])
 
     def structure_entries(self) -> Tuple[Tuple[int, int, int, Q], ...]:
         """Sparse (i, j, k, value) quadruples with i < j, deterministic order."""
@@ -162,9 +169,8 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
 def bracket_subspace(g: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:
     """Span of [u, v] over basis vectors of U and V: the rows of
     V·ad(u)ᵀ are the brackets [u, v]."""
-    rows = [r for u in U.basis.data
-            for r in (V.basis @ g.ad_vector(u).transpose()).data]
-    return Subspace.span(g.dim, rows)
+    return Subspace.row_space(stack_rows(
+        [V.basis @ g.ad_vector(u).transpose() for u in U.basis.data], g.dim))
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -250,14 +256,11 @@ def killing_form(g: LieAlgebra) -> SymmetricForm:
     ads = [g.ad(i) for i in range(n)]
 
     def trace_product(a: Matrix, b: Matrix):
-        total = Q(0)
-        for r in range(n):
-            row = a.data[r]
-            for c in range(n):
-                x = row[c]
-                if x != 0:
-                    total += x * b.data[c][r]
-        return total
+        # tr(ab) over the product of the denominators, from a's rows and
+        # b's columns
+        total = sum(sum(map(mul, row, col))
+                    for row, col in zip(a.num, zip(*b.num)))
+        return Q(total, a.den * b.den)
 
     rows = [[Q(0)] * n for _ in range(n)]
     for i in range(n):

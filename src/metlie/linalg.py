@@ -2,8 +2,11 @@
 
 Everything in this package reduces to the primitives here: rational
 matrices, canonical subspaces (reduced row echelon bases), affine solving,
-and symmetric-form diagnostics.  No floating point is used anywhere; all
-results are exact values in ``fractions.Fraction``.
+and symmetric-form diagnostics.  No floating point is used anywhere.  A
+matrix holds integer rows over one positive common denominator in lowest
+terms, and all arithmetic, elimination included, is done on those
+integers; entries, vectors and solutions are given out as exact
+``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -11,9 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
 Q = Fraction
+_ZERO = Fraction(0)
 
 Vector = Tuple[Fraction, ...]
 
@@ -54,14 +60,17 @@ def vec_scale(c: Fraction, v: Vector) -> Vector:
     return tuple(c * a if a else a for a in v)
 
 
-def is_zero_vector(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
 class Matrix:
-    """Immutable dense matrix with Fraction entries, row-major storage."""
+    """Immutable dense rational matrix, row-major.
 
-    __slots__ = ("rows", "cols", "data")
+    The entries are held as integer rows ``num`` over one common
+    denominator ``den`` in lowest terms: ``den > 0`` and
+    ``gcd(den, *entries) == 1``, so equal matrices have equal fields.  All
+    arithmetic is done on the integers; ``data``, ``[i, j]``, ``row``,
+    ``column``, ``apply`` and ``solve`` give Fractions.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den", "_data")
 
     def __init__(self, data: Sequence[Sequence], rows: Optional[int] = None,
                  cols: Optional[int] = None):
@@ -72,27 +81,51 @@ class Matrix:
             cols = len(table[0]) if table else 0
         if len(table) != rows or any(len(r) != cols for r in table):
             raise ValueError("ragged matrix data")
+        # over the lcm of lowest-terms denominators the rows are in lowest
+        # terms already
+        den = lcm(*(x.denominator for r in table for x in r))
         self.rows = rows
         self.cols = cols
-        self.data = table
+        self.num = tuple(tuple(x.numerator * (den // x.denominator)
+                               for x in r) for r in table)
+        self.den = den
+        self._data = table
 
     @classmethod
-    def _trusted(cls, data: Tuple[Vector, ...], rows: int, cols: int) -> "Matrix":
-        """A matrix from rows this module computed itself: a tuple of
-        ``rows`` tuples of ``cols`` Fractions each, taken without a check."""
+    def _int(cls, num: Tuple[Tuple[int, ...], ...], den: int, rows: int,
+             cols: int) -> "Matrix":
+        """The matrix num/den from integer rows this module computed: a
+        tuple of ``rows`` tuples of ``cols`` ints and a positive ``den``,
+        brought to lowest terms and otherwise taken without a check."""
+        g = gcd(den, *itertools.chain.from_iterable(num))
+        if g != 1:
+            num = tuple(tuple(x // g for x in r) for r in num)
+            den //= g
         out = cls.__new__(cls)
         out.rows = rows
         out.cols = cols
-        out.data = data
+        out.num = num
+        out.den = den
+        out._data = None
         return out
+
+    @property
+    def data(self) -> Tuple[Vector, ...]:
+        """The entries as rows of Fractions, built on first read."""
+        if self._data is None:
+            den = self.den
+            self._data = tuple(tuple(Fraction(x, den) if x else _ZERO
+                                     for x in r) for r in self.num)
+        return self._data
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._trusted(((Q(0),) * cols,) * rows, rows, cols)
+        return cls._int(((0,) * cols,) * rows, 1, rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._trusted(tuple(unit_vector(n, i) for i in range(n)), n, n)
+        return cls._int(tuple(tuple(int(i == j) for j in range(n))
+                              for i in range(n)), 1, n, n)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
@@ -114,7 +147,7 @@ class Matrix:
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i: int) -> Vector:
         return self.data[i]
@@ -124,75 +157,73 @@ class Matrix:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._trusted(
-            tuple(vec_add(a, b) for a, b in zip(self.data, other.data)),
-            self.rows, self.cols)
+        (a, b), den = _common((self, other))
+        return Matrix._int(tuple(tuple(map(add, r, s)) for r, s in zip(a, b)),
+                           den, self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._trusted(
-            tuple(vec_sub(a, b) for a, b in zip(self.data, other.data)),
-            self.rows, self.cols)
+        (a, b), den = _common((self, other))
+        return Matrix._int(tuple(tuple(map(sub, r, s)) for r, s in zip(a, b)),
+                           den, self.rows, self.cols)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(Q(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = rational(c)
-        return Matrix._trusted(tuple(vec_scale(c, r) for r in self.data),
-                               self.rows, self.cols)
+        n = c.numerator
+        return Matrix._int(tuple(tuple(x * n for x in r) for r in self.num),
+                           self.den * c.denominator, self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        zero = Q(0)
-        odata = other.data
-        ocols = other.cols
+        onum = other.num
+        zero = (0,) * other.cols
         out = []
-        for row in self.data:
-            acc = [zero] * ocols
-            for k, x in enumerate(row):
+        for row in self.num:
+            acc = None
+            for x, orow in zip(row, onum):
                 if x:
-                    orow = odata[k]
-                    for c, y in enumerate(orow):
-                        if y:
-                            acc[c] = acc[c] + x * y
-            out.append(tuple(acc))
-        return Matrix._trusted(tuple(out), self.rows, ocols)
+                    if acc is None:
+                        acc = orow if x == 1 else [x * y for y in orow]
+                    else:
+                        acc = [a + x * y for a, y in zip(acc, orow)]
+            out.append(zero if acc is None else tuple(acc))
+        return Matrix._int(tuple(out), self.den * other.den, self.rows,
+                           other.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix acting on a coordinate column vector."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        zero = Q(0)
-        out = []
-        for row in self.data:
-            acc = zero
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        iv, dv = _integer_vector(v)
+        den = self.den * dv
+        return tuple(Fraction(s, den) if s else _ZERO
+                     for s in (sum(map(mul, row, iv)) for row in self.num))
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(tuple(self.column(j) for j in range(self.cols)),
-                               self.cols, self.rows)
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return Matrix._int(num, self.den, self.cols, self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Q(0))
+        return Fraction(sum(self.num[i][i] for i in range(self.rows)),
+                        self.den)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vector(r) for r in self.data)
+        return not any(map(any, self.num))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
@@ -200,43 +231,59 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix._trusted(tuple(a + b for a, b in zip(self.data, other.data)),
-                               self.rows, self.cols + other.cols)
+        (a, b), den = _common((self, other))
+        return Matrix._int(tuple(map(add, a, b)), den, self.rows,
+                           self.cols + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return Matrix._trusted(self.data + other.data, self.rows + other.rows,
-                               self.cols)
+        return stack_rows((self, other), self.cols)
 
     def rref(self) -> Tuple["Matrix", Tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        m = [list(r) for r in self.data]
+        """Reduced row echelon form and the pivot column indices.
+
+        Fraction-free Gauss–Jordan elimination on the integer rows: a row
+        operation replaces a row r by p·r − f·s (s the pivot row, p its
+        pivot, f the entry of r under it) and divides the result by its
+        content.  At the end each pivot row is scaled so that every pivot
+        equals their common multiple D, which is the unique RREF over D.
+        """
+        rows, cols = self.rows, self.cols
+        m = list(self.num)
         pivots = []
         prow = 0
-        one = Q(1)
-        for col in range(self.cols):
-            if prow >= self.rows:
+        for col in range(cols):
+            if prow == rows:
                 break
-            sel = next((r for r in range(prow, self.rows) if m[r][col] != 0), None)
+            sel = next((r for r in range(prow, rows) if m[r][col]), None)
             if sel is None:
                 continue
-            m[prow], m[sel] = m[sel], m[prow]
-            pivot_val = m[prow][col]
-            if pivot_val != one:
-                inv = one / pivot_val
-                m[prow] = [x * inv if x else x for x in m[prow]]
-            prow_vals = m[prow]
-            for r in range(self.rows):
-                if r != prow and m[r][col] != 0:
-                    f = m[r][col]
-                    row_r = m[r]
-                    m[r] = [x - f * y if y else x
-                            for x, y in zip(row_r, prow_vals)]
+            top = m[sel]
+            g = gcd(*top)
+            if g != 1:
+                top = [x // g for x in top]
+            m[sel] = m[prow]
+            m[prow] = top
+            p = top[col]
+            for r in range(rows):
+                row = m[r]
+                f = row[col]
+                if f and r != prow:
+                    if p == 1:
+                        new = [x - f * y for x, y in zip(row, top)]
+                    else:
+                        new = [p * x - f * y for x, y in zip(row, top)]
+                    g = gcd(*new)
+                    if g > 1:
+                        new = [x // g for x in new]
+                    m[r] = new
             pivots.append(col)
             prow += 1
-        return (Matrix._trusted(tuple(tuple(r) for r in m), self.rows, self.cols),
-                tuple(pivots))
+        heads = [m[i][p] for i, p in enumerate(pivots)]
+        common = lcm(*heads)
+        out = tuple(tuple(x * (common // h) for x in m[i])
+                    for i, h in enumerate(heads))
+        out += ((0,) * cols,) * (rows - prow)
+        return Matrix._int(out, common, rows, cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -244,58 +291,69 @@ class Matrix:
     def nullspace(self) -> "Matrix":
         """Rows span the right kernel {x : A x = 0}."""
         red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        num, common = red.num, red.den
+        taken = set(pivots)
         basis = []
-        for f in free:
-            v = [Q(0)] * self.cols
-            v[f] = Q(1)
+        for f in range(self.cols):
+            if f in taken:
+                continue
+            v = [0] * self.cols
+            v[f] = common
             for r, p in enumerate(pivots):
-                v[p] = -red[r, f]
+                v[p] = -num[r][f]
             basis.append(tuple(v))
-        return Matrix._trusted(tuple(basis), len(basis), self.cols)
+        return Matrix._int(tuple(basis), common, len(basis), self.cols)
 
     def solve(self, b: Vector) -> Optional[Vector]:
         """One solution of A x = b, or None when inconsistent."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        aug = self.hstack(Matrix.from_columns((b,), rows=self.rows))
-        red, pivots = aug.rref()
+        # row i of [A | b] times den·denominator(b_i): the same RREF
+        den = self.den
+        aug = tuple(tuple(x * y.denominator for x in r) + (y.numerator * den,)
+                    for r, y in zip(self.num, b))
+        red, pivots = Matrix._int(aug, 1, self.rows, self.cols + 1).rref()
         if self.cols in pivots:
             return None
-        x = [Q(0)] * self.cols
+        x = [_ZERO] * self.cols
         for r, p in enumerate(pivots):
-            x[p] = red[r, self.cols]
+            x[p] = Fraction(red.num[r][self.cols], red.den)
         return tuple(x)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        red, pivots = self.hstack(Matrix.identity(self.rows)).rref()
-        if len(pivots) != self.rows or any(p >= self.rows for p in pivots):
+        n, den = self.rows, self.den
+        aug = tuple(r + tuple(den if j == i else 0 for j in range(n))
+                    for i, r in enumerate(self.num))
+        red, pivots = Matrix._int(aug, den, n, 2 * n).rref()
+        if len(pivots) != n or any(p >= n for p in pivots):
             raise ValueError("matrix is singular")
-        return Matrix._trusted(tuple(r[self.rows:] for r in red.data),
-                               self.rows, self.rows)
+        return Matrix._int(tuple(r[n:] for r in red.num), red.den, n, n)
 
     def det(self) -> Fraction:
+        """Bareiss's fraction-free elimination on the integer rows: each
+        step's entries are 2x2 minors divided exactly by the previous
+        pivot, and the last pivot is det(num) = den^n · det."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m = [list(r) for r in self.data]
         n = self.rows
-        d = Q(1)
-        for col in range(n):
-            sel = next((r for r in range(col, n) if m[r][col] != 0), None)
+        m = [list(r) for r in self.num]
+        sign, prev = 1, 1
+        for k in range(n):
+            sel = next((r for r in range(k, n) if m[r][k]), None)
             if sel is None:
-                return Q(0)
-            if sel != col:
-                m[col], m[sel] = m[sel], m[col]
-                d = -d
-            d *= m[col][col]
-            inv = Q(1) / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    f = m[r][col] * inv
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return d
+                return _ZERO
+            if sel != k:
+                m[k], m[sel] = m[sel], m[k]
+                sign = -sign
+            top = m[k]
+            p = top[k]
+            for i in range(k + 1, n):
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+            prev = p
+        return Fraction(sign * prev, self.den ** n)
 
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -304,6 +362,30 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def _common(mats: Sequence[Matrix]):
+    """The integer rows of each matrix over the lcm of their denominators,
+    and that lcm."""
+    den = lcm(*(a.den for a in mats))
+    return [a.num if a.den == den else
+            tuple(tuple(x * (den // a.den) for x in r) for r in a.num)
+            for a in mats], den
+
+
+def _integer_vector(v: Vector) -> Tuple[Tuple[int, ...], int]:
+    """(w, d) with v = w/d, w integers and d the lcm of v's denominators."""
+    d = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
+
+
+def stack_rows(mats: Sequence[Matrix], cols: int) -> Matrix:
+    """The rows of the matrices in turn, as one matrix of width cols."""
+    if any(a.cols != cols for a in mats):
+        raise ValueError("column count mismatch in vstack")
+    nums, den = _common(mats)
+    rows = tuple(itertools.chain.from_iterable(nums))
+    return Matrix._int(rows, den, len(rows), cols)
 
 
 def linear_combination(terms: Iterable[Tuple[Fraction, Matrix]],
@@ -322,13 +404,14 @@ def linear_combination(terms: Iterable[Tuple[Fraction, Matrix]],
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     """The blocks placed along the diagonal, zeros elsewhere."""
     cols = sum(b.cols for b in blocks)
+    nums, den = _common(blocks)
     rows = []
     offset = 0
-    for b in blocks:
-        left, right = zero_vector(offset), zero_vector(cols - offset - b.cols)
-        rows.extend(left + r + right for r in b.data)
+    for b, num in zip(blocks, nums):
+        left, right = (0,) * offset, (0,) * (cols - offset - b.cols)
+        rows.extend(left + r + right for r in num)
         offset += b.cols
-    return Matrix._trusted(tuple(rows), len(rows), cols)
+    return Matrix._int(tuple(rows), den, len(rows), cols)
 
 
 def block_coordinates(blocks: Sequence[Sequence[Vector]], k: int,
@@ -342,7 +425,7 @@ def block_coordinates(blocks: Sequence[Sequence[Vector]], k: int,
                               rows=ambient).inverse()
     start = sum(len(b) for b in blocks[:k])
     size = len(blocks[k])
-    return Matrix._trusted(inv.data[start:start + size], size, ambient)
+    return Matrix._int(inv.num[start:start + size], inv.den, size, ambient)
 
 
 class Subspace:
@@ -362,10 +445,15 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient: int, rows: Iterable[Vector]) -> "Subspace":
-        mat = Matrix.from_rows(tuple(tuple(r) for r in rows), cols=ambient)
+        return cls.row_space(
+            Matrix.from_rows(tuple(tuple(r) for r in rows), cols=ambient))
+
+    @classmethod
+    def row_space(cls, mat: Matrix) -> "Subspace":
+        """The span of mat's rows."""
         red, pivots = mat.rref()
-        return cls(ambient, Matrix._trusted(red.data[: len(pivots)],
-                                            len(pivots), ambient))
+        k = len(pivots)
+        return cls(mat.cols, Matrix._int(red.num[:k], red.den, k, mat.cols))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -395,32 +483,41 @@ class Subspace:
         return self.coordinates(v) is not None
 
     def coordinates(self, v: Vector) -> Optional[Vector]:
-        """Coefficients of v in the canonical basis, or None if outside."""
+        """Coefficients of v in the canonical basis, or None if outside.
+
+        The coefficient of a basis row is v's entry at the row's pivot.
+        """
         if self.dim == self.ambient:
             return tuple(v)    # canonical basis of the full space is identity
-        coeffs = []
-        residual = list(v)
-        for row in self.basis.data:
-            pivot = next((j for j, x in enumerate(row) if x != 0), None)
-            if pivot is None:
-                coeffs.append(Q(0))
-                continue
-            c = residual[pivot]
-            coeffs.append(c)
-            if c != 0:
-                for j, x in enumerate(row):
-                    if x:
-                        residual[j] -= c * x
-        if any(x != 0 for x in residual):
+        pivots = self._pivots()
+        if not self._holds(_integer_vector(v)[0], pivots):
             return None
-        return tuple(coeffs)
+        return tuple(v[p] for p in pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.data)
+        self._check(other)
+        pivots = self._pivots()
+        return all(self._holds(r, pivots) for r in other.basis.num)
+
+    def _pivots(self) -> Tuple[int, ...]:
+        # in a canonical basis each row's first nonzero entry is its pivot,
+        # equal to the common denominator
+        den = self.basis.den
+        return tuple(r.index(den) for r in self.basis.num)
+
+    def _holds(self, w: Sequence[int], pivots: Tuple[int, ...]) -> bool:
+        """Whether the integer vector w lies in the subspace: w·den minus
+        w's pivot entries times the integer basis rows is zero."""
+        residual = [x * self.basis.den for x in w]
+        for p, row in zip(pivots, self.basis.num):
+            c = w[p]
+            if c:
+                residual = [x - c * y for x, y in zip(residual, row)]
+        return not any(residual)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.span(self.ambient, self.basis.data + other.basis.data)
+        return Subspace.row_space(self.basis.vstack(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -429,9 +526,9 @@ class Subspace:
         # x = c·U = d·V; kernel of the stacked transposed bases gives (c, d).
         stacked = self.basis.transpose().hstack(other.basis.transpose().scale(-1))
         combos = stacked.nullspace()
-        coeffs = Matrix._trusted(tuple(c[: self.dim] for c in combos.data),
-                                 combos.rows, self.dim)
-        return Subspace.span(self.ambient, (coeffs @ self.basis).data)
+        coeffs = Matrix._int(tuple(c[: self.dim] for c in combos.num),
+                             combos.den, combos.rows, self.dim)
+        return Subspace.row_space(coeffs @ self.basis)
 
     def complement_in(self, larger: "Subspace") -> "Subspace":
         """A complement W with self ⊕ W = larger (self ⊆ larger required)."""
@@ -441,17 +538,18 @@ class Subspace:
         # of the vectors kept before it: with self's basis and then larger's
         # as the columns of one matrix, these are its pivot columns past
         # self's.
-        vectors = self.basis.data + larger.basis.data
-        _, pivots = Matrix._trusted(vectors, len(vectors),
-                                    self.ambient).transpose().rref()
-        chosen = [vectors[p] for p in pivots if p >= self.dim]
-        return Subspace.span(self.ambient, chosen)
+        vectors = self.basis.vstack(larger.basis)
+        _, pivots = vectors.transpose().rref()
+        chosen = tuple(vectors.num[p] for p in pivots if p >= self.dim)
+        return Subspace.row_space(
+            Matrix._int(chosen, vectors.den, len(chosen), self.ambient))
 
     def image(self, mat: Matrix) -> "Subspace":
-        """Span of mat·v over basis vectors v (mat acts on columns)."""
+        """Span of mat·v over basis vectors v (mat acts on columns): the
+        rows of basis·matᵀ."""
         if mat.cols != self.ambient:
             raise ValueError("matrix width differs from ambient dim")
-        return Subspace.span(mat.rows, tuple(mat.apply(r) for r in self.basis.data))
+        return Subspace.row_space(self.basis @ mat.transpose())
 
     def preimage(self, mats: Sequence[Matrix]) -> "Subspace":
         """{v : a·v in the subspace for every a}: the kernel of the stacked
@@ -459,8 +557,7 @@ class Subspace:
         if self.dim:
             ann = self.basis.nullspace()
             mats = [ann @ a for a in mats]
-        rows = tuple(r for a in mats for r in a.data)
-        kernel = Matrix._trusted(rows, len(rows), self.ambient).nullspace()
+        kernel = stack_rows(mats, self.ambient).nullspace()
         return Subspace(self.ambient, kernel.rref()[0])
 
     def annihilator(self) -> "Subspace":
@@ -530,15 +627,12 @@ class SymmetricForm:
 
     def is_skew_adjoint(self, a: Matrix) -> bool:
         """<a x, y> = -<x, a y> for all x, y, i.e. gram·a is skew."""
-        m = (self.gram @ a).data
+        m = (self.gram @ a).num
         return not any(m[i][j] + m[j][i]
                        for i in range(self.dim) for j in range(i, self.dim))
 
     def restrict(self, U: Subspace) -> "SymmetricForm":
-        rows = U.basis.data
-        return SymmetricForm(Matrix(
-            tuple(tuple(self.evaluate(u, v) for v in rows) for u in rows),
-            U.dim, U.dim))
+        return SymmetricForm(U.basis @ self.gram @ U.basis.transpose())
 
     def is_isotropic(self, U: Subspace) -> bool:
         return self.restrict(U).gram.is_zero()

@@ -47,7 +47,7 @@ from .lie import (IdealChain, InternalCheckError, LieAlgebra, center,
                   nilpotency_radical, quotient_algebra)
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
                      block_coordinates, block_diagonal, linear_combination,
-                     unit_vector)
+                     stack_rows, unit_vector)
 
 
 class Representation:
@@ -274,11 +274,11 @@ def _checked_submodule(rep: Representation, U: Subspace, what: str) -> Subspace:
 def _radical_of(rep: Representation, W: Subspace,
                 ops: Tuple[Matrix, ...]) -> Subspace:
     """R(W) = span T·W; the rows of W·tᵀ are the images t·w."""
-    rows = [r for t in ops for r in (W.basis @ t.transpose()).data]
+    images = stack_rows([W.basis @ t.transpose() for t in ops],
+                        rep.module_dim)
     # W/R is semisimple by construction (T was checked in
     # _radical_operators); what is left to test is that R is a submodule.
-    return _checked_submodule(rep, Subspace.span(rep.module_dim, rows),
-                              "radical")
+    return _checked_submodule(rep, Subspace.row_space(images), "radical")
 
 
 def module_radical(rep: Representation, W: Optional[Subspace] = None) -> Subspace:

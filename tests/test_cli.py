@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from metlie import (Cochain, CochainComplex, QuadraticCochain,
+from metlie import (Cochain, CochainComplex, Matrix, QuadraticCochain,
                     QuadraticCocycle, SymmetricForm, q_action,
                     trivial_representation)
 from metlie import documents as doc
@@ -319,6 +319,25 @@ class TestSizeCap:
             {"algebra": {"dim": 0, "brackets": []},
              "module_dim": doc.MAX_DIM, "action": []})
         assert g.dim == rep.module_dim == doc.MAX_DIM
+
+
+    def test_abelian_at_the_cap_forms_no_products(self, monkeypatch,
+                                                  tmp_path, capsys):
+        # every ad(e_i) is zero, so the Jacobi check has no pair to test
+        products = []
+        matmul = Matrix.__matmul__
+
+        def counted(a, b):
+            products.append((a.rows, b.cols))
+            return matmul(a, b)
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        f = tmp_path / "abelian.json"
+        f.write_text(json.dumps({"format_version": "1", "kind": "lie",
+                                 "payload": {"dim": doc.MAX_DIM,
+                                             "brackets": []}}))
+        assert main(["validate", str(f)]) == 0
+        assert products == []
+        capsys.readouterr()
 
 
 class TestValidateVerdicts:
