@@ -2,19 +2,21 @@
 
 Constructors for the six base algebras, the weight-block families
 (rotation, negative-definite rotation, boost, the coupled 4x4 family,
-trivial blocks, and the real irreducibles of su(2)), row builders for the
-classification table, non-isomorphism certificates from the stated
+trivial blocks, and the real irreducibles of su(2)), the classification
+table as one row table ``_ROWS`` read by one function, with three rows
+built explicitly, non-isomorphism certificates from the stated
 invariants, and the sweep pipeline that verifies index, balancedness,
 admissibility and indecomposability for every row within bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import Cochain, CochainComplex, QuadraticCocycle
 from .lie import InternalCheckError, LieAlgebra, abelian, killing_form
@@ -27,23 +29,14 @@ from .quadext import (IndecomposabilityVerdict, StandardModel,
 
 BASE_NAMES = ("n2", "r3m1", "r3m2", "h1", "sl2r", "su2", "R1", "R2", "R3")
 
-_BASE_CACHE: Dict[str, LieAlgebra] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def base_algebra(name: str) -> LieAlgebra:
     """Structure constants of the named base algebra on its standard basis.
 
     Instances are immutable and shared, so derived invariants (Killing
     form, radicals, adjoint filtrations) are computed once per base.
     """
-    if name in _BASE_CACHE:
-        return _BASE_CACHE[name]
-    algebra = _construct_base(name)
-    _BASE_CACHE[name] = algebra
-    return algebra
-
-
-def _construct_base(name: str) -> LieAlgebra:
     if name == "n2":       # [X,Y] = Z, [X,Z] = -Y
         return LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]},
                           labels=("X", "Y", "Z"))
@@ -83,74 +76,52 @@ def _plus_block(value: Fraction) -> Matrix:
     return Matrix([[0, -value], [value, 0]])
 
 
-def _prime_block(value: Fraction) -> Matrix:
-    return Matrix([[0, value], [value, 0]])
-
-
-def _doubleprime_block(mu: Fraction, nu: Fraction) -> Matrix:
-    return Matrix([
-        [0, -nu, mu, 0],
-        [nu, 0, 0, mu],
-        [mu, 0, 0, -nu],
-        [0, mu, nu, 0]])
+# kind: (the block at one basis element, from the values there of one
+# weight, or of the (mu, nu) pair for doubleprime; the block's form)
+_WEIGHT_BLOCKS = {
+    "plus": (_plus_block, (1, 1)),
+    "minus": (_plus_block, (-1, -1)),
+    "prime": (lambda v: Matrix([[0, v], [v, 0]]), (-1, 1)),
+    "doubleprime": (lambda mu, nu: Matrix([[0, -nu, mu, 0], [nu, 0, 0, mu],
+                                           [mu, 0, 0, -nu], [0, mu, nu, 0]]),
+                    (-1, -1, 1, 1)),
+}
 
 
 def build_rep(specs: Sequence[RepFamilySpec], l: LieAlgebra) -> Representation:
     """Block-diagonal representation with the signed-orthonormal form
-    (computed invariant form for the su(2) irreducible blocks)."""
+    (computed invariant form for the su(2) irreducible blocks); no specs
+    give the zero module."""
     block_actions: List[List[Matrix]] = []   # per spec: one matrix per basis elt
     block_forms: List[Matrix] = []
-    per_block_gram = {"plus": (1, 1), "minus": (-1, -1), "prime": (-1, 1),
-                      "doubleprime": (-1, -1, 1, 1)}
     for spec in specs:
-        if spec.kind in ("plus", "minus", "prime"):
-            mats = []
-            for i in range(l.dim):
-                blocks = []
-                for w in spec.weights:
-                    val = rational(w[i]) if i < len(w) else Q(0)
-                    blocks.append(_plus_block(val) if spec.kind != "prime"
-                                  else _prime_block(val))
-                mats.append(block_diagonal(blocks))
-            block_actions.append(mats)
-            block_forms.append(Matrix.diagonal(
-                per_block_gram[spec.kind] * len(spec.weights)))
-        elif spec.kind == "doubleprime":
-            mats = []
-            for i in range(l.dim):
-                blocks = []
-                for (mu, nu) in spec.weights:
-                    mu_i = rational(mu[i]) if i < len(mu) else Q(0)
-                    nu_i = rational(nu[i]) if i < len(nu) else Q(0)
-                    blocks.append(_doubleprime_block(mu_i, nu_i))
-                mats.append(block_diagonal(blocks))
-            block_actions.append(mats)
-            block_forms.append(Matrix.diagonal(
-                per_block_gram[spec.kind] * len(spec.weights)))
+        if spec.kind in _WEIGHT_BLOCKS:
+            block, gram = _WEIGHT_BLOCKS[spec.kind]
+            functionals = spec.weights if spec.kind == "doubleprime" \
+                else [(w,) for w in spec.weights]
+            block_actions.append([block_diagonal([
+                block(*(rational(f[i]) if i < len(f) else Q(0) for f in fs))
+                for fs in functionals]) for i in range(l.dim)])
+            block_forms.append(Matrix.diagonal(gram * len(spec.weights)))
         elif spec.kind == "trivial":
             neg, pos = spec.weights
             size = neg + pos
             block_actions.append([Matrix.zeros(size, size)] * l.dim)
             block_forms.append(Matrix.diagonal([-1] * neg + [1] * pos))
-        elif spec.kind == "su2_odd":
-            rep = su2_odd_irrep(spec.weights[0], l)
-            block_actions.append(list(rep.action))
-            block_forms.append(rep.form.gram)
-        elif spec.kind == "su2_quat":
-            rep = su2_quaternionic_irrep(spec.weights[0], l)
+        elif spec.kind in ("su2_odd", "su2_quat"):
+            irrep = su2_odd_irrep if spec.kind == "su2_odd" \
+                else su2_quaternionic_irrep
+            rep = irrep(spec.weights[0], l)
             block_actions.append(list(rep.action))
             block_forms.append(rep.form.gram)
         else:
             raise ValueError(f"unknown family kind {spec.kind!r}")
 
-    action = []
-    for i in range(l.dim):
-        action.append(block_diagonal([mats[i] for mats in block_actions]))
+    action = tuple(block_diagonal([mats[i] for mats in block_actions])
+                   for i in range(l.dim))
     form = SymmetricForm(block_diagonal(block_forms))
-    total = sum(m.rows for m in block_forms)
-    rep = Representation(l, tuple(action), form=form, validate=True,
-                         module_dim=total)
-    return rep
+    return Representation(l, action, form=form, validate=True,
+                          module_dim=sum(m.rows for m in block_forms))
 
 
 def _invariant_symmetric_gram(action: Sequence[Matrix]) -> Matrix:
@@ -416,9 +387,10 @@ def _is_count(x) -> bool:
 def _sorted_positive(lam: Sequence) -> Tuple[Fraction, ...]:
     vals = _rationals(lam, "lam")
     if any(v <= 0 for v in vals):
-        raise RowConstraintError("weights must be positive: 0 < l1 <= ... <= lm")
+        raise RowConstraintError(
+            "$.params.lam must be positive: 0 < l1 <= ... <= lm")
     if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-        raise RowConstraintError("weights must be sorted ascending")
+        raise RowConstraintError("$.params.lam must be sorted ascending")
     return vals
 
 
@@ -434,26 +406,198 @@ def _pair_functionals(lam: Sequence, dim: int) -> Tuple[Tuple, ...]:
     for w in lam:
         w = _rationals(w, "lam")
         if all(x == 0 for x in w):
-            raise RowConstraintError("weight functionals must be nonzero")
+            raise RowConstraintError(
+                "$.params.lam: weight functionals must be nonzero")
         out.append(w + (Q(0),) * (dim - len(w)))
     return tuple(out)
 
 
+def _more_than_two_lines(lam) -> bool:
+    """R2 III's condition: the weights and the boost direction (1, 0) lie
+    on more than two lines through 0."""
+    directions = {_line_normal((Q(1), Q(0)))}
+    directions.update(_line_normal(w[:2]) for w in lam)
+    return len(directions) > 2
+
+
+class _Entry(NamedTuple):
+    """One weight-family row of the classification table (see ``_ROWS``)."""
+    weights: str
+    cert: Tuple
+    extras: Tuple = ()
+    alpha: Tuple = ()
+    gamma: object = 0
+    params: Tuple = ()
+    min_m: int = 0
+
+
+# The index-3 classification, one entry per weight-family row; m is the
+# number of weights in the parameter lam (default: none).
+#   weights  "x": sorted positive weights on X, as functionals on l;
+#            "pair", "triple": nonzero functionals on l given as lists,
+#            certified by their first two or three coordinates;
+#            "lines": pairs that lie, with the boost direction (1, 0), on
+#            more than two lines
+#   cert     (form of lam, *rest): the certificate is (base, family, m,
+#            form, *rest)
+#   extras   the families after the plus block of lam, as (kind, weights
+#            on X) or ("trivial", (negatives, positives)); a "plus" extra
+#            appends its weights to the plus block
+#   alpha    (pair, t) or (pair, t, name): alpha(pair) = e_{2m+t}, scaled
+#            by the named parameter
+#   gamma    gamma(X, Y, Z), a number or a parameter name
+#   params   parameters besides lam, read and checked by ``_PARAMS``
+#   min_m    the least m
+# A name in cert, extras or gamma stands for its parameter's value.  Rows
+# that follow no such pattern are explicit: sl2r and su2 carry a modified
+# form (su2's module is a k-partition of m into real irreducibles), and the
+# r_{3,-2} control has a hyperbolic module outside the catalog.
+_ROWS = {
+    ("n2", "Ia"): _Entry("x", ("lam", 1), gamma=1),
+    ("n2", "Ib"): _Entry("x", ("lam", -1), gamma=-1),
+    ("n2", "II"): _Entry("x", ("lam",), extras=(("trivial", (0, 1)),),
+                         alpha=(((1, 2), 0),)),
+    ("n2", "III"): _Entry("x", ("lam", "r"),
+                          extras=(("plus", (1,)), ("trivial", (0, 1))),
+                          alpha=(((1, 2), 2), ((0, 1), 0, "r"),
+                                 ((0, 2), 1, "r")), params=("r",)),
+    ("n2", "IV"): _Entry("x", ("lam",), extras=(("plus", (1,)),),
+                         alpha=(((0, 1), 0), ((0, 2), 1))),
+    ("r3m1", "I"): _Entry("x", ("lam",), extras=(("trivial", (0, 1)),),
+                          alpha=(((1, 2), 0),)),
+    ("r3m1", "II"): _Entry("x", ("lam",), gamma=1),
+    ("h1", "I"): _Entry("pair", ("sorted",), extras=(("trivial", (0, 1)),),
+                        alpha=(((0, 2), 0),)),
+    ("h1", "II"): _Entry("pair", ("gram",), extras=(("trivial", (0, 2)),),
+                         alpha=(((0, 2), 0), ((1, 2), 1))),
+    ("R1", "I"): _Entry("x", ("lam", "nu"),
+                        extras=(("doubleprime", ((1, "nu"),)),),
+                        params=("nu",)),
+    ("R1", "II"): _Entry("x", ("lam",), extras=(("minus", (1,)),)),
+    ("R1", "III"): _Entry("x", ("lam", "mu"), extras=(("prime", "mu"),),
+                          params=("mu",)),
+    ("R2", "I"): _Entry("pair", ("r2",), extras=(("trivial", (1, 0)),),
+                        alpha=(((0, 1), 0),)),
+    ("R2", "II"): _Entry("pair", ("sorted",),
+                         extras=(("prime", (1,)), ("trivial", (0, 1))),
+                         alpha=(((0, 1), 2),)),
+    ("R2", "III"): _Entry("lines", ("sorted",), extras=(("prime", (1,)),),
+                          min_m=2),
+    # with gamma = 0 the gamma row is the open-set row, and back
+    ("R3", "gamma"): _Entry("triple", ("sorted", "gamma"), gamma="gamma",
+                            params=("gamma",)),
+    ("R3", "open"): _Entry("triple", ("sorted", "gamma"), gamma="gamma",
+                           params=("gamma",), min_m=4),
+    ("R3", "a1"): _Entry("triple", ("sorted", "gamma"),
+                         extras=(("trivial", (0, 1)),),
+                         alpha=(((1, 2), 0),), gamma="gamma",
+                         params=("gamma",)),
+    ("R3", "a2"): _Entry("triple", ("sorted", "gamma"),
+                         extras=(("trivial", (0, 2)),),
+                         alpha=(((1, 2), 0), ((0, 2), 1)), gamma="gamma",
+                         params=("gamma",)),
+    ("R3", "a3"): _Entry("triple", ("sorted", "gamma"),
+                         extras=(("trivial", (0, 3)),),
+                         alpha=(((1, 2), 0), ((0, 2), 1), ((0, 1), 2)),
+                         gamma="gamma", params=("gamma",)),
+}
+
+# The parameters of table rows besides lam, one meaning per name:
+# (default, or None when required; list-valued; constraint; its wording)
+_PARAMS = {
+    "r": (None, False, lambda r: r > 0, "must be positive"),
+    "nu": (None, False, lambda nu: nu != 0, "must be nonzero"),
+    "mu": (None, True, lambda mu: len(mu) == 2 and mu[0] == 1 and mu[1] >= 1,
+           "must be (1, mu2) with mu2 >= 1"),
+    "gamma": (0, False, None, None),
+}
+
+
+def _param(params: Dict, name: str):
+    default, is_list, holds, wording = _PARAMS[name]
+    value = _rationals(_required(params, name), name) if is_list \
+        else _rational_param(params, name, default)
+    if holds is not None and not holds(value):
+        raise RowConstraintError(f"$.params.{name} {wording}")
+    return value
+
+
+def _value(x, values: Dict):
+    """A table value with each parameter name replaced by its value."""
+    if isinstance(x, str):
+        return values[x]
+    if isinstance(x, tuple):
+        return tuple(_value(y, values) for y in x)
+    return Q(x)
+
+
 def catalog_row(base: str, variant: str, params: Dict) -> CatalogRow:
     """Construct one classification-table row and its verified model."""
-    key = (base, variant)
-    builder = _ROW_BUILDERS.get(key)
-    if builder is None:
+    params = dict(params)
+    explicit = _EXPLICIT_ROWS.get((base, variant))
+    if explicit is not None:
+        return explicit(params)
+    if (base, variant) not in _ROWS:
         raise ValueError(f"unknown catalog row {base}/{variant}")
-    return builder(dict(params))
+    return _table_row(base, variant, params)
 
 
-def _finish_row(base, variant, params, cx, alpha_vals, gamma_vals,
+def _table_row(base: str, variant: str, params: Dict) -> CatalogRow:
+    """The row ``_ROWS[base, variant]`` for the given parameters."""
+    entry = _ROWS[base, variant]
+    l = base_algebra(base)
+    lam = params.get("lam", ())
+    lam = _sorted_positive(lam) if entry.weights == "x" \
+        else _pair_functionals(lam, l.dim)
+    m = len(lam)
+    values = {name: _param(params, name) for name in entry.params}
+    if variant in ("gamma", "open"):     # R3 without alpha: gamma decides
+        variant = "gamma" if values["gamma"] else "open"
+        entry = _ROWS[base, variant]
+    if m < entry.min_m:
+        raise RowConstraintError(f"$.params.lam needs at least "
+                                 f"{entry.min_m} weights in {base}/{variant}")
+    if entry.weights == "lines" and not _more_than_two_lines(lam):
+        raise RowConstraintError("$.params.lam: the weights and the boost "
+                                 "direction lie in a union of two lines")
+    plus = _x_functionals(lam, l.dim) if entry.weights == "x" else lam
+    specs = []
+    for kind, weights in entry.extras:
+        if kind == "doubleprime":
+            weights = tuple(_x_functionals(pair, l.dim)
+                            for pair in _value(weights, values))
+        elif kind != "trivial":
+            weights = _x_functionals(_value(weights, values), l.dim)
+        if kind == "plus":
+            plus += weights
+        else:
+            specs.append(RepFamilySpec(kind, weights))
+    if plus:
+        specs.insert(0, RepFamilySpec("plus", plus))
+    rep = build_rep(specs, l)
+    alpha_vals = {}
+    for pair, t, *scale in entry.alpha:
+        e = unit_vector(rep.module_dim, 2 * m + t)
+        alpha_vals[pair] = tuple(values[scale[0]] * x for x in e) \
+            if scale else e
+    gamma = _value(entry.gamma, values)
+    form, *rest = entry.cert
+    width = 3 if entry.weights == "triple" else 2
+    lam_form = lam if form == "lam" else {
+        "sorted": lambda w: tuple(sorted(w)),
+        "gram": h1_gram_certificate,
+        "r2": r2_I_certificate}[form]([w[:width] for w in lam])
+    cert = (base, _family(base, variant), m, lam_form) + \
+        tuple(values[x] if isinstance(x, str) else x for x in rest)
+    return _finish_row(base, variant, params, rep, alpha_vals,
+                       {(0, 1, 2): (gamma,)} if gamma else {}, cert)
+
+
+def _finish_row(base, variant, params, rep, alpha_vals, gamma_vals,
                 certificate, ip_l=None) -> CatalogRow:
-    n = cx.algebra.dim
-    m = cx.module_dim
-    alpha = Cochain.from_values(n, 2, m, alpha_vals)
-    gamma = Cochain.from_values(n, 3, 1, gamma_vals)
+    cx = CochainComplex(rep.algebra, rep)
+    alpha = Cochain.from_values(cx.algebra.dim, 2, cx.module_dim, alpha_vals)
+    gamma = Cochain.from_values(cx.algebra.dim, 3, 1, gamma_vals)
     z = QuadraticCocycle(cx, alpha, gamma)
     if ip_l is not None:
         model, phi, standard = build_modified(z, ip_l)
@@ -466,133 +610,12 @@ def _finish_row(base, variant, params, cx, alpha_vals, gamma_vals,
                       certificate, standard)
 
 
-def _row_n2_I(params, sign):
-    lam = _sorted_positive(params.get("lam", ()))
-    l = base_algebra("n2")
-    specs = [RepFamilySpec("plus", _x_functionals(lam, 3))] if lam else []
-    rep = build_rep(specs, l) if specs else _empty_module(l)
-    cx = CochainComplex(l, rep)
-    gamma_vals = {(0, 1, 2): (Q(sign),)}
-    cert = ("n2", "I", len(lam), lam, sign)
-    return _finish_row("n2", "Ia" if sign > 0 else "Ib", params, cx, {},
-                       gamma_vals, cert)
-
-
-def _empty_module(l: LieAlgebra) -> Representation:
-    return Representation(l, (Matrix.zeros(0, 0),) * l.dim,
-                          form=SymmetricForm(Matrix.zeros(0, 0)),
-                          module_dim=0, validate=False)
-
-
-def _row_n2_II(params):
-    lam = _sorted_positive(params.get("lam", ()))
-    m = len(lam)
-    l = base_algebra("n2")
-    specs = ([RepFamilySpec("plus", _x_functionals(lam, 3))] if lam else []) \
-        + [RepFamilySpec("trivial", (0, 1))]
-    rep = build_rep(specs, l)
-    cx = CochainComplex(l, rep)
-    a0 = unit_vector(rep.module_dim, 2 * m)
-    cert = ("n2", "II", m, lam)
-    return _finish_row("n2", "II", params, cx, {(1, 2): a0}, {}, cert)
-
-
-def _row_n2_III(params):
-    lam = _sorted_positive(params.get("lam", ()))
-    r = _rational_param(params, "r")
-    if r <= 0:
-        raise RowConstraintError("parameter r must be positive")
-    m = len(lam)
-    l = base_algebra("n2")
-    lam_ext = lam + (Q(1),)
-    specs = [RepFamilySpec("plus", _x_functionals(lam_ext, 3)),
-             RepFamilySpec("trivial", (0, 1))]
-    rep = build_rep(specs, l)
-    md = rep.module_dim
-    alpha_vals = {
-        (1, 2): unit_vector(md, 2 * m + 2),
-        (0, 1): tuple(r * x for x in unit_vector(md, 2 * m)),
-        (0, 2): tuple(r * x for x in unit_vector(md, 2 * m + 1)),
-    }
-    cert = ("n2", "III", m, lam, r)
-    return _finish_row("n2", "III", params, cx=CochainComplex(l, rep),
-                       alpha_vals=alpha_vals, gamma_vals={}, certificate=cert)
-
-
-def _row_n2_IV(params):
-    lam = _sorted_positive(params.get("lam", ()))
-    m = len(lam)
-    l = base_algebra("n2")
-    lam_ext = lam + (Q(1),)
-    rep = build_rep([RepFamilySpec("plus", _x_functionals(lam_ext, 3))], l)
-    md = rep.module_dim
-    alpha_vals = {
-        (0, 1): unit_vector(md, 2 * m),
-        (0, 2): unit_vector(md, 2 * m + 1),
-    }
-    cert = ("n2", "IV", m, lam)
-    return _finish_row("n2", "IV", params, CochainComplex(l, rep),
-                       alpha_vals, {}, cert)
-
-
-def _row_r3m1_I(params):
-    lam = _sorted_positive(params.get("lam", ()))
-    m = len(lam)
-    l = base_algebra("r3m1")
-    specs = ([RepFamilySpec("plus", _x_functionals(lam, 3))] if lam else []) \
-        + [RepFamilySpec("trivial", (0, 1))]
-    rep = build_rep(specs, l)
-    a0 = unit_vector(rep.module_dim, 2 * m)
-    cert = ("r3m1", "I", m, lam)
-    return _finish_row("r3m1", "I", params, CochainComplex(l, rep),
-                       {(1, 2): a0}, {}, cert)
-
-
-def _row_r3m1_II(params):
-    lam = _sorted_positive(params.get("lam", ()))
-    l = base_algebra("r3m1")
-    specs = [RepFamilySpec("plus", _x_functionals(lam, 3))] if lam else []
-    rep = build_rep(specs, l) if specs else _empty_module(l)
-    cert = ("r3m1", "II", len(lam), lam)
-    return _finish_row("r3m1", "II", params, CochainComplex(l, rep), {},
-                       {(0, 1, 2): (Q(1),)}, cert)
-
-
-def _row_h1_I(params):
-    lam = _pair_functionals(params.get("lam", ()), 3)
-    m = len(lam)
-    l = base_algebra("h1")
-    specs = ([RepFamilySpec("plus", lam)] if lam else []) \
-        + [RepFamilySpec("trivial", (0, 1))]
-    rep = build_rep(specs, l)
-    a0 = unit_vector(rep.module_dim, 2 * m)
-    cert = ("h1", "I", m, _h1_normal_lambda(lam))
-    return _finish_row("h1", "I", params, CochainComplex(l, rep),
-                       {(0, 2): a0}, {}, cert)
-
-
-def _row_h1_II(params):
-    lam = _pair_functionals(params.get("lam", ()), 3)
-    m = len(lam)
-    l = base_algebra("h1")
-    specs = ([RepFamilySpec("plus", lam)] if lam else []) \
-        + [RepFamilySpec("trivial", (0, 2))]
-    rep = build_rep(specs, l)
-    a1 = unit_vector(rep.module_dim, 2 * m)
-    a2 = unit_vector(rep.module_dim, 2 * m + 1)
-    cert = ("h1", "II", m, h1_gram_certificate([w[:2] for w in lam]))
-    return _finish_row("h1", "II", params, CochainComplex(l, rep),
-                       {(0, 2): a1, (1, 2): a2}, {}, cert)
-
-
 def _row_sl2r(params):
     c = _rational_param(params, "c", 0)
     l = base_algebra("sl2r")
-    rep = _empty_module(l)
-    cx = CochainComplex(l, rep)
     ip = SymmetricForm(killing_form(l).gram.scale(c))
-    cert = ("sl2r", "c", c)
-    return _finish_row("sl2r", "c", params, cx, {}, {}, cert, ip_l=ip)
+    return _finish_row("sl2r", "c", params, build_rep([], l), {}, {},
+                       ("sl2r", "c", c), ip_l=ip)
 
 
 def _row_su2(params):
@@ -608,127 +631,15 @@ def _row_su2(params):
             "$.params.k must be two lists of non-negative integers")
     odd, quat = tuple(k[0]), tuple(k[1])
     if sum(2 * t + 1 for t in odd) + sum(4 * t for t in quat) != m:
-        raise RowConstraintError("k indices must partition m")
-    if any(odd[i] > odd[i + 1] for i in range(len(odd) - 1)) or \
-            any(quat[i] > quat[i + 1] for i in range(len(quat) - 1)):
-        raise RowConstraintError("k indices must be sorted")
+        raise RowConstraintError("$.params.k must partition m")
+    if odd != tuple(sorted(odd)) or quat != tuple(sorted(quat)):
+        raise RowConstraintError("$.params.k must be sorted")
     l = base_algebra("su2")
     specs = [RepFamilySpec("su2_odd", (t,)) for t in odd]
     specs += [RepFamilySpec("su2_quat", (t,)) for t in quat]
-    rep = build_rep(specs, l) if specs else _empty_module(l)
-    cx = CochainComplex(l, rep)
     ip = SymmetricForm(killing_form(l).gram.scale(c))
-    cert = ("su2", "ck", m, (odd, quat), c)
-    return _finish_row("su2", "ck", params, cx, {}, {}, cert, ip_l=ip)
-
-
-def _row_R1_I(params):
-    lam = _sorted_positive(params.get("lam", ()))
-    nu = _rational_param(params, "nu")
-    if nu == 0:
-        raise RowConstraintError("nu must be nonzero")
-    l = base_algebra("R1")
-    specs = ([RepFamilySpec("plus", _x_functionals(lam, 1))] if lam else []) \
-        + [RepFamilySpec("doubleprime", (((Q(1),), (nu,)),))]
-    rep = build_rep(specs, l)
-    cert = ("R1", "I", len(lam), lam, nu)
-    return _finish_row("R1", "I", params, CochainComplex(l, rep), {}, {}, cert)
-
-
-def _row_R1_II(params):
-    lam = _sorted_positive(params.get("lam", ()))
-    l = base_algebra("R1")
-    specs = ([RepFamilySpec("plus", _x_functionals(lam, 1))] if lam else []) \
-        + [RepFamilySpec("minus", ((Q(1),),))]
-    rep = build_rep(specs, l)
-    cert = ("R1", "II", len(lam), lam)
-    return _finish_row("R1", "II", params, CochainComplex(l, rep), {}, {}, cert)
-
-
-def _row_R1_III(params):
-    lam = _sorted_positive(params.get("lam", ()))
-    mu = _rationals(_required(params, "mu"), "mu")
-    if len(mu) != 2 or mu[0] != 1 or mu[1] < 1:
-        raise RowConstraintError("mu must be (1, mu2) with mu2 >= 1")
-    l = base_algebra("R1")
-    specs = ([RepFamilySpec("plus", _x_functionals(lam, 1))] if lam else []) \
-        + [RepFamilySpec("prime", ((mu[0],), (mu[1],)))]
-    rep = build_rep(specs, l)
-    cert = ("R1", "III", len(lam), lam, mu)
-    return _finish_row("R1", "III", params, CochainComplex(l, rep), {}, {},
-                       cert)
-
-
-def _row_R2_I(params):
-    lam = _pair_functionals(params.get("lam", ()), 2)
-    m = len(lam)
-    l = base_algebra("R2")
-    specs = ([RepFamilySpec("plus", lam)] if lam else []) \
-        + [RepFamilySpec("trivial", (1, 0))]
-    rep = build_rep(specs, l)
-    a0 = unit_vector(rep.module_dim, 2 * m)
-    cert = ("R2", "I", m, r2_I_certificate([w[:2] for w in lam]))
-    return _finish_row("R2", "I", params, CochainComplex(l, rep),
-                       {(0, 1): a0}, {}, cert)
-
-
-def _row_R2_II(params):
-    lam = _pair_functionals(params.get("lam", ()), 2)
-    m = len(lam)
-    l = base_algebra("R2")
-    mu = ((Q(1), Q(0)),)
-    specs = ([RepFamilySpec("plus", lam)] if lam else []) \
-        + [RepFamilySpec("prime", mu), RepFamilySpec("trivial", (0, 1))]
-    rep = build_rep(specs, l)
-    a0 = unit_vector(rep.module_dim, 2 * m + 2)
-    cert = ("R2", "II", m, tuple(sorted(tuple(w[:2]) for w in lam)))
-    return _finish_row("R2", "II", params, CochainComplex(l, rep),
-                       {(0, 1): a0}, {}, cert)
-
-
-def _row_R2_III(params):
-    lam = _pair_functionals(params.get("lam", ()), 2)
-    m = len(lam)
-    if m < 2:
-        raise RowConstraintError("type III needs m >= 2")
-    directions = {_line_normal((Q(1), Q(0)))}
-    for w in lam:
-        directions.add(_line_normal(w[:2]))
-    if len(directions) <= 2:
-        raise RowConstraintError(
-            "weights with the boost direction lie in a union of two lines")
-    l = base_algebra("R2")
-    mu = ((Q(1), Q(0)),)
-    specs = [RepFamilySpec("plus", lam), RepFamilySpec("prime", mu)]
-    rep = build_rep(specs, l)
-    cert = ("R2", "III", m, tuple(sorted(tuple(w[:2]) for w in lam)))
-    return _finish_row("R2", "III", params, CochainComplex(l, rep), {}, {},
-                       cert)
-
-
-def _row_R3(params, image_dim):
-    lam = _pair_functionals(params.get("lam", ()), 3)
-    m = len(lam)
-    l = base_algebra("R3")
-    gamma_val = _rational_param(params, "gamma", 0)
-    specs = ([RepFamilySpec("plus", lam)] if lam else [])
-    if image_dim:
-        specs += [RepFamilySpec("trivial", (0, image_dim))]
-    rep = build_rep(specs, l) if specs else _empty_module(l)
-    md = rep.module_dim
-    alpha_vals = {}
-    pairs = ((1, 2), (0, 2), (0, 1))
-    for t in range(image_dim):
-        alpha_vals[pairs[t]] = unit_vector(md, 2 * m + t)
-    gamma_vals = {(0, 1, 2): (gamma_val,)} if gamma_val != 0 else {}
-    if image_dim == 0 and gamma_val == 0 and m < 4:
-        raise RowConstraintError("the open-set row needs m >= 4")
-    variant = f"a{image_dim}" if image_dim else \
-        ("gamma" if gamma_val != 0 else "open")
-    cert = ("R3", variant, m, tuple(sorted(tuple(w[:3]) for w in lam)),
-            gamma_val)
-    return _finish_row("R3", variant, params, CochainComplex(l, rep),
-                       alpha_vals, gamma_vals, cert)
+    return _finish_row("su2", "ck", params, build_rep(specs, l), {}, {},
+                       ("su2", "ck", m, (odd, quat), c), ip_l=ip)
 
 
 def _row_r3m2_control(params):
@@ -736,34 +647,14 @@ def _row_r3m2_control(params):
     action_x = Matrix([[1, 0], [0, -1]])
     rep = Representation(l, (action_x, Matrix.zeros(2, 2), Matrix.zeros(2, 2)),
                          form=SymmetricForm(Matrix([[0, 1], [1, 0]])))
-    cx = CochainComplex(l, rep)
     alpha_vals = {(1, 2): (Q(0), Q(1)), (0, 2): (Q(1), Q(0))}
-    cert = ("r3m2", "control", ())
-    return _finish_row("r3m2", "control", params, cx, alpha_vals, {}, cert)
+    return _finish_row("r3m2", "control", params, rep, alpha_vals, {},
+                       ("r3m2", "control", ()))
 
 
-_ROW_BUILDERS = {
-    ("n2", "Ia"): lambda p: _row_n2_I(p, 1),
-    ("n2", "Ib"): lambda p: _row_n2_I(p, -1),
-    ("n2", "II"): _row_n2_II,
-    ("n2", "III"): _row_n2_III,
-    ("n2", "IV"): _row_n2_IV,
-    ("r3m1", "I"): _row_r3m1_I,
-    ("r3m1", "II"): _row_r3m1_II,
-    ("h1", "I"): _row_h1_I,
-    ("h1", "II"): _row_h1_II,
+_EXPLICIT_ROWS = {
     ("sl2r", "c"): _row_sl2r,
     ("su2", "ck"): _row_su2,
-    ("R1", "I"): _row_R1_I,
-    ("R1", "II"): _row_R1_II,
-    ("R1", "III"): _row_R1_III,
-    ("R2", "I"): _row_R2_I,
-    ("R2", "II"): _row_R2_II,
-    ("R2", "III"): _row_R2_III,
-    ("R3", "gamma"): lambda p: _row_R3(p, 0),
-    ("R3", "a1"): lambda p: _row_R3(p, 1),
-    ("R3", "a2"): lambda p: _row_R3(p, 2),
-    ("R3", "a3"): lambda p: _row_R3(p, 3),
     ("r3m2", "control"): _row_r3m2_control,
 }
 
@@ -782,10 +673,6 @@ def _line_normal(w: Tuple[Fraction, Fraction]) -> Tuple[Fraction, Fraction]:
     if a != 0:
         return (Q(1), b / a)
     return (Q(0), Q(1))
-
-
-def _h1_normal_lambda(lam) -> Tuple:
-    return tuple(sorted(tuple(w[:2]) for w in lam))
 
 
 def h1_gram_certificate(lam: Sequence[Tuple[Fraction, Fraction]]) -> Tuple:
@@ -826,42 +713,28 @@ def non_isomorphism_certificate(r1: CatalogRow, r2: CatalogRow) -> str:
     """'equal', 'distinct', or 'incomparable' from the stated invariants."""
     if r1.base != r2.base:
         return "distinct"
-    fam1, fam2 = _family(r1), _family(r2)
-    if fam1 != fam2:
+    fam1 = _family(r1.base, r1.variant)
+    if fam1 != _family(r2.base, r2.variant):
         return "distinct"
     if r1.base == "R3":
         return "incomparable"
-    if r1.base == "h1" and fam1 == "I":
-        lam1 = [w[:2] for w in _pair_functionals(r1.params.get("lam", ()), 3)]
-        lam2 = [w[:2] for w in _pair_functionals(r2.params.get("lam", ()), 3)]
-        return "equal" if _h1_I_same(lam1, lam2) else "distinct"
-    if r1.base == "R2" and fam1 == "II":
-        lam1 = [w[:2] for w in _pair_functionals(r1.params.get("lam", ()), 2)]
-        lam2 = [w[:2] for w in _pair_functionals(r2.params.get("lam", ()), 2)]
-        return "equal" if _r2_II_same(lam1, lam2) else "distinct"
-    if r1.base == "R2" and fam1 == "III":
-        lam1 = [w[:2] for w in _pair_functionals(r1.params.get("lam", ()), 2)]
-        lam2 = [w[:2] for w in _pair_functionals(r2.params.get("lam", ()), 2)]
-        return "equal" if _r2_III_same(lam1, lam2) else "distinct"
+    same = _SAME_PARAMETERS.get((r1.base, fam1))
+    if same is not None:
+        lam1, lam2 = ([w[:2] for w in _pair_functionals(
+            row.params.get("lam", ()), 2)] for row in (r1, r2))
+        if len(lam1) != len(lam2):
+            return "distinct"
+        equal = not lam1 or same(*zip(*lam1), *zip(*lam2))
+        return "equal" if equal else "distinct"
     return "equal" if r1.certificate == r2.certificate else "distinct"
 
 
-def _family(row: CatalogRow) -> str:
-    if row.base == "n2" and row.variant in ("Ia", "Ib"):
-        return "I"
-    return row.variant
+def _family(base: str, variant: str) -> str:
+    return "I" if base == "n2" and variant in ("Ia", "Ib") else variant
 
 
-def _h1_I_same(lam1, lam2) -> bool:
-    if len(lam1) != len(lam2):
-        return False
-    m = len(lam1)
-    if m == 0:
-        return True
-    x1 = tuple(w[0] for w in lam1)
-    y1 = tuple(w[1] for w in lam1)
-    x2 = tuple(w[0] for w in lam2)
-    y2 = tuple(w[1] for w in lam2)
+def _h1_I_same(x1, y1, x2, y2) -> bool:
+    m = len(x1)
     span2 = Subspace.span(m, [x2, y2])
     for perm, signs in _signed_perms(m):
         px = tuple(signs[i] * x1[perm[i]] for i in range(m))
@@ -901,16 +774,8 @@ def _proportionality(v1, v2) -> Optional[Fraction]:
     return r if r is not None else Q(0)
 
 
-def _r2_II_same(lam1, lam2) -> bool:
-    if len(lam1) != len(lam2):
-        return False
-    m = len(lam1)
-    if m == 0:
-        return True
-    y1 = tuple(w[0] for w in lam1)
-    z1 = tuple(w[1] for w in lam1)
-    y2 = tuple(w[0] for w in lam2)
-    z2 = tuple(w[1] for w in lam2)
+def _r2_II_same(y1, z1, y2, z2) -> bool:
+    m = len(y1)
     span1 = Subspace.span(m, [y1, z1])
     span2 = Subspace.span(m, [y2, z2])
     for perm, signs in _signed_perms(m):
@@ -934,14 +799,8 @@ def _r2_II_same(lam1, lam2) -> bool:
     return False
 
 
-def _r2_III_same(lam1, lam2) -> bool:
-    if len(lam1) != len(lam2):
-        return False
-    m = len(lam1)
-    y1 = tuple(w[0] for w in lam1)
-    z1 = tuple(w[1] for w in lam1)
-    y2 = tuple(w[0] for w in lam2)
-    z2 = tuple(w[1] for w in lam2)
+def _r2_III_same(y1, z1, y2, z2) -> bool:
+    m = len(y1)
     for perm, signs in _signed_perms(m):
         py = tuple(signs[i] * y1[perm[i]] for i in range(m))
         pz = tuple(signs[i] * z1[perm[i]] for i in range(m))
@@ -954,7 +813,18 @@ def _r2_III_same(lam1, lam2) -> bool:
     return False
 
 
+# the families whose parameters are compared by an isomorphism test on
+# the columns of their weights (m-vectors, m >= 1) rather than by the
+# certificate tuple
+_SAME_PARAMETERS = {("h1", "I"): _h1_I_same, ("R2", "II"): _r2_II_same,
+                    ("R2", "III"): _r2_III_same}
+
+
 # --- sweep ----------------------------------------------------------------
+
+# the most rows a sweep may list (README); larger bounds are refused
+_MAX_SWEEP_ROWS = 10_000
+
 
 @dataclass(frozen=True)
 class SweepBounds:
@@ -963,9 +833,18 @@ class SweepBounds:
     weight_den: int = 1
 
     def __post_init__(self):
-        if self.m < 0 or self.weight_num < 1 or self.weight_den < 1:
-            raise ValueError(f"sweep bounds need m >= 0, num >= 1 and "
-                             f"den >= 1, got {self}")
+        num, den = self.weight_num, self.weight_den
+        for name, value, least in (("m", self.m, 0), ("num", num, 1),
+                                   ("den", den, 1)):
+            if value < least:
+                raise ValueError(f"$.bounds.{name} must be >= {least}, "
+                                 f"got {value}")
+        if _row_count(self.m, num, den) > _MAX_SWEEP_ROWS:
+            # m is to blame when the weight grid alone stays within the cap
+            name = "m" if _row_count(min(self.m, 1), num, den) <= \
+                _MAX_SWEEP_ROWS else ("den" if den > num else "num")
+            raise ValueError(f"$.bounds.{name}: the bounds list more than "
+                             f"{_MAX_SWEEP_ROWS} catalog rows")
 
 
 @dataclass
@@ -997,77 +876,83 @@ class SweepReport:
     all_passed: bool
 
 
-def _weight_values(bounds: SweepBounds) -> List[Fraction]:
-    vals = set()
-    for p in range(1, bounds.weight_num + 1):
-        for q in range(1, bounds.weight_den + 1):
-            vals.add(Q(p, q))
-    return sorted(vals)
+def _weight_values(num: int, den: int) -> List[Fraction]:
+    return sorted({Q(p, q) for p in range(1, num + 1)
+                   for q in range(1, den + 1)})
 
 
-def _lambda_tuples(bounds: SweepBounds, m: int) -> List[Tuple[Fraction, ...]]:
-    vals = _weight_values(bounds)
-    return [tuple(t) for t in
-            itertools.combinations_with_replacement(vals, m)]
-
-
-def _pair_grid(bounds: SweepBounds) -> List[Tuple[Fraction, Fraction]]:
+def _pair_grid(num: int) -> List[Tuple[Fraction, Fraction]]:
     grid = [(Q(1), Q(0)), (Q(0), Q(1)), (Q(1), Q(1))]
-    if bounds.weight_num >= 2:
+    if num >= 2:
         grid.append((Q(2), Q(1)))
     return grid
 
 
-def _pair_tuples(bounds: SweepBounds, m: int):
-    return [tuple(t) for t in
-            itertools.combinations_with_replacement(_pair_grid(bounds), m)]
+_TRIPLE_GRID = ((Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0)), (Q(0), Q(0), Q(1)))
+
+
+def _row_count(m: int, num: int, den: int) -> int:
+    """len(enumerate_rows(SweepBounds(m, num, den))) without listing a row.
+
+    Past _MAX_SWEEP_ROWS it stops early with a lower bound.  With m >= 1
+    every weight value gives 7 + 3 num rows, and there are at least
+    max(num, den) values, so num * den > _MAX_SWEEP_ROWS is such a bound.
+    """
+    if m and num * den > _MAX_SWEEP_ROWS:
+        return num * den
+    values = len(_weight_values(num, den)) if m else 1
+    pairs = len(_pair_grid(num))
+    total = 0
+    for k in range(m + 1):
+        pair_tuples = math.comb(pairs + k - 1, k)
+        # R2 III takes the tuples with two distinct pairs off the boost
+        # line; (1, 0) is the one grid pair on it
+        total += math.comb(values + k - 1, k) * (7 + 3 * num) \
+            + 4 * pair_tuples + pair_tuples - 1 - (pairs - 1) * k \
+            + 3 * math.comb(k + 2, 2) + (2 if k == 0 else 0)
+        if total > _MAX_SWEEP_ROWS:
+            return total
+        total += 2 * len(k_index_sets(k))
+    return total
 
 
 def enumerate_rows(bounds: SweepBounds) -> List[Tuple[str, str, Dict]]:
     """All (base, variant, params) combinations within the bounds."""
     out: List[Tuple[str, str, Dict]] = []
+    num = bounds.weight_num
+    values = _weight_values(num, bounds.weight_den) if bounds.m else []
     for m in range(bounds.m + 1):
-        for lam in _lambda_tuples(bounds, m):
+        for lam in itertools.combinations_with_replacement(values, m):
             out.append(("n2", "Ia", {"lam": lam}))
             out.append(("n2", "Ib", {"lam": lam}))
             out.append(("n2", "II", {"lam": lam}))
             out.append(("n2", "IV", {"lam": lam}))
-            for r in range(1, bounds.weight_num + 1):
+            for r in range(1, num + 1):
                 out.append(("n2", "III", {"lam": lam, "r": Q(r)}))
             out.append(("r3m1", "I", {"lam": lam}))
             out.append(("r3m1", "II", {"lam": lam}))
             out.append(("R1", "II", {"lam": lam}))
-            for nu in range(1, bounds.weight_num + 1):
+            for nu in range(1, num + 1):
                 out.append(("R1", "I", {"lam": lam, "nu": Q(nu)}))
-            for mu2 in range(1, bounds.weight_num + 1):
+            for mu2 in range(1, num + 1):
                 out.append(("R1", "III", {"lam": lam, "mu": (Q(1), Q(mu2))}))
-        for lam in _pair_tuples(bounds, m):
+        for lam in itertools.combinations_with_replacement(_pair_grid(num), m):
             out.append(("h1", "I", {"lam": lam}))
             out.append(("h1", "II", {"lam": lam}))
             out.append(("R2", "I", {"lam": lam}))
             out.append(("R2", "II", {"lam": lam}))
-            if m >= 2:
-                directions = {_line_normal((Q(1), Q(0)))}
-                for w in lam:
-                    directions.add(_line_normal(w))
-                if len(directions) > 2:
-                    out.append(("R2", "III", {"lam": lam}))
+            if _more_than_two_lines(lam):
+                out.append(("R2", "III", {"lam": lam}))
         for c in (Q(0), Q(1)):
             if m == 0:
                 out.append(("sl2r", "c", {"c": c}))
             for k in k_index_sets(m):
                 out.append(("su2", "ck", {"m": m, "k": k, "c": c}))
-        for lam in _triple_tuples(bounds, m):
+        for lam in itertools.combinations_with_replacement(_TRIPLE_GRID, m):
             out.append(("R3", "gamma", {"lam": lam, "gamma": Q(1)}))
             out.append(("R3", "a2", {"lam": lam}))
             out.append(("R3", "a3", {"lam": lam}))
     return out
-
-
-def _triple_tuples(bounds: SweepBounds, m: int):
-    grid = [(Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0)), (Q(0), Q(0), Q(1))]
-    return [tuple(t) for t in
-            itertools.combinations_with_replacement(grid, m)]
 
 
 def run_row(base: str, variant: str, params: Dict) -> RowResult:

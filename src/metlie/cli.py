@@ -231,20 +231,28 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+_BOUND_FIELDS = {"m": "m", "num": "weight_num", "den": "weight_den"}
+
+
 def _parse_bounds(spec: Optional[str]) -> SweepBounds:
-    if not spec:
-        return SweepBounds()
     values = {}
-    for part in spec.split(","):
+    for part in (spec or "").split(","):
         if not part:
             continue
         if "=" not in part:
-            raise doc.DocumentError(f"bad bounds fragment {part!r}", "$")
-        key, val = part.split("=", 1)
-        values[key.strip()] = int(val)
-    return SweepBounds(m=values.get("m", 2),
-                       weight_num=values.get("num", 2),
-                       weight_den=values.get("den", 1))
+            raise doc.DocumentError(f"bad bounds fragment {part!r}",
+                                    "$.bounds")
+        key, val = (x.strip() for x in part.split("=", 1))
+        path = f"$.bounds.{key}"
+        if key not in _BOUND_FIELDS:
+            raise doc.DocumentError("unknown bound; the bounds are m, num "
+                                    "and den", path)
+        try:
+            values[_BOUND_FIELDS[key]] = int(val)
+        except ValueError:
+            raise doc.DocumentError(f"{val!r} is not an integer",
+                                    path) from None
+    return SweepBounds(**values)
 
 
 def cmd_sweep(args) -> int:

@@ -1,11 +1,14 @@
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
 
 from metlie import (Matrix, Subspace, adjoint_representation,
-                    admissibility, center, nilpotency_radical, signature)
-from metlie.catalog import (RepFamilySpec, RowConstraintError, SweepBounds,
-                            base_algebra, build_rep, casimir, catalog_row,
+                    admissibility, center, documents, nilpotency_radical,
+                    signature)
+from metlie.catalog import (_MAX_SWEEP_ROWS, RepFamilySpec, RowConstraintError,
+                            SweepBounds, _row_count, base_algebra, build_rep,
+                            casimir, catalog_row, enumerate_rows,
                             k_index_sets, non_isomorphism_certificate,
                             run_controls, run_row, su2_odd_irrep,
                             su2_quaternionic_irrep, sweep)
@@ -239,3 +242,44 @@ class TestControlsAndSweep:
             assert distinct, fam
         bases = {r.row.base for r in report.rows}
         assert {"n2", "r3m1", "h1", "sl2r", "su2", "R1", "R2", "R3"} <= bases
+
+    @pytest.mark.parametrize("m, num, den", [
+        (0, 1, 1), (0, 5, 7), (1, 1, 1), (1, 2, 3), (2, 1, 1), (2, 2, 1),
+        (2, 3, 4), (3, 2, 1), (3, 1, 2), (4, 1, 1), (5, 2, 2), (8, 2, 1),
+    ])
+    def test_row_count_without_listing(self, m, num, den):
+        bounds = SweepBounds(m, num, den)
+        assert _row_count(m, num, den) == len(enumerate_rows(bounds))
+
+    def test_bounds_over_the_cap_refused(self):
+        assert _row_count(8, 2, 1) == 3460
+        assert _row_count(11, 2, 1) == 8765 <= _MAX_SWEEP_ROWS
+        SweepBounds(11, 2, 1)
+        assert _row_count(12, 2, 1) > _MAX_SWEEP_ROWS
+        with pytest.raises(ValueError, match=r"\$\.bounds\.m"):
+            SweepBounds(12, 2, 1)
+
+
+class TestCatalogDocuments:
+    # sha256 of the catalog_row documents below, one after another, each
+    # followed by a newline; any change to a row's model, cocycle,
+    # certificate or parameters changes it
+    DIGEST = "81d0fa8f584188b261e5001a1b3eb080e350856d91183afeaecd26c50ff1cf58"
+
+    def test_documents_unchanged(self):
+        specs = enumerate_rows(SweepBounds(m=2))
+        assert len(specs) == 175
+        # rows the sweep never builds
+        specs += [
+            ("R3", "a1", {"lam": ((Q(1), Q(0), Q(0)),)}),
+            ("R3", "gamma", {"lam": ((Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0)),
+                                     (Q(0), Q(0), Q(1)),
+                                     (Q(1), Q(1), Q(0)))}),
+            ("n2", "III", {"lam": (Q(1),), "r": Q(1, 3)}),
+            ("R1", "I", {"lam": (Q(1),), "nu": Q(-2)}),
+        ]
+        digest = hashlib.sha256()
+        for base, variant, params in specs:
+            row = catalog_row(base, variant, params)
+            digest.update(documents.dump_catalog_row(row).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST

@@ -177,7 +177,7 @@ class TestPipelines:
         assert names == {"n2-zero-class", "h1-gamma-class", "r3m2-example"}
 
     @pytest.mark.parametrize("base, variant, params, path", [
-        ("n2", "III", '{"lam": [], "r": "-1"}', None),
+        ("n2", "III", '{"lam": [], "r": "-1"}', "$.params.r"),
         ("n2", "III", '{"lam": ["1"]}', "$.params.r"),
         ("R1", "I", '{"lam": ["1"]}', "$.params.nu"),
         ("R1", "III", '{"lam": ["1"]}', "$.params.mu"),
@@ -191,16 +191,107 @@ class TestPipelines:
         ("su2", "ck", '{"m": 1, "k": [["0"], []]}', "$.params.k"),
         ("su2", "ck", '{"m": 1, "k": [[true], []]}', "$.params.k"),
         ("su2", "ck", '{"m": 1, "k": [[0]]}', "$.params.k"),
+        ("n2", "Ia", '{"lam": ["2", "1"]}', "$.params.lam"),
+        ("n2", "II", '{"lam": ["0"]}', "$.params.lam"),
+        ("R1", "I", '{"lam": [], "nu": "0"}', "$.params.nu"),
+        ("R1", "III", '{"mu": ["1", "1/2"]}', "$.params.mu"),
+        ("R1", "III", '{"mu": ["1"]}', "$.params.mu"),
+        ("R2", "III", '{"lam": [["0", "1"]]}', "$.params.lam"),
+        ("R2", "III", '{"lam": [["0", "1"], ["0", "2"]]}', "$.params.lam"),
+        ("R3", "open", '{"lam": [["1", "0", "0"]]}', "$.params.lam"),
+        ("R3", "gamma", '{"lam": [["1", "0", "0"]]}', "$.params.lam"),
+        ("h1", "I", '{"lam": [["0", "0"]]}', "$.params.lam"),
+        ("su2", "ck", '{"m": 10, "k": [[3, 1], []]}', "$.params.k"),
+        ("su2", "ck", '{"m": 3, "k": [[], [1]]}', "$.params.k"),
     ], ids=["n2-III-negative-r", "n2-III-missing-r", "R1-I-missing-nu",
             "R1-III-missing-mu", "n2-III-null-r", "n2-III-list-r",
             "n2-III-nested-lam", "R1-III-string-mu", "su2-null-m",
             "su2-bool-m", "su2-string-m", "su2-string-k", "su2-bool-k",
-            "su2-one-list-k"])
+            "su2-one-list-k", "n2-unsorted-lam", "n2-zero-lam",
+            "R1-I-zero-nu", "R1-III-small-mu2", "R1-III-short-mu",
+            "R2-III-one-weight", "R2-III-two-lines", "R3-open-few-weights",
+            "R3-gamma-absent-few-weights", "h1-zero-functional",
+            "su2-unsorted-k", "su2-k-not-partition"])
     def test_row_constraint_violation_exit_two(self, capsys, base, variant,
                                                params, path):
         assert main(["catalog", base, variant, "--params", params]) == 2
         if path is not None:
             assert path in capsys.readouterr().err
+
+    # parameters for each key of the row table, and for the explicit rows
+    ROW_PARAMS = {
+        ("n2", "Ia"): {"lam": ["1"]}, ("n2", "Ib"): {"lam": ["1"]},
+        ("n2", "II"): {"lam": ["1"]}, ("n2", "III"): {"lam": ["1"], "r": "2"},
+        ("n2", "IV"): {"lam": ["1"]}, ("r3m1", "I"): {"lam": ["1"]},
+        ("r3m1", "II"): {"lam": ["1"]}, ("h1", "I"): {"lam": [["1", "0"]]},
+        ("h1", "II"): {"lam": [["1", "0"]]},
+        ("R1", "I"): {"lam": ["1"], "nu": "2"}, ("R1", "II"): {"lam": ["1"]},
+        ("R1", "III"): {"mu": ["1", "2"]}, ("R2", "I"): {"lam": [["1", "0"]]},
+        ("R2", "II"): {"lam": [["1", "1"]]},
+        ("R2", "III"): {"lam": [["0", "1"], ["1", "1"]]},
+        ("R3", "gamma"): {"gamma": "1"}, ("R3", "a1"): {},
+        ("R3", "a2"): {}, ("R3", "a3"): {},
+        ("R3", "open"): {"lam": [["1", "0", "0"], ["0", "1", "0"],
+                                 ["0", "0", "1"], ["1", "1", "0"]]},
+        ("sl2r", "c"): {"c": "1"}, ("su2", "ck"): {"m": 3, "k": [[1], []]},
+        ("r3m2", "control"): {},
+    }
+
+    def test_row_params_cover_the_table(self):
+        import metlie.catalog
+        assert set(metlie.catalog._ROWS) | set(metlie.catalog._EXPLICIT_ROWS) \
+            == set(self.ROW_PARAMS)
+
+    @pytest.mark.parametrize("key", sorted(ROW_PARAMS), ids="/".join)
+    def test_catalog_output_certifies(self, tmp_path, capsys, key):
+        # a row document that catalog writes is one that certify reads
+        out = tmp_path / "row.json"
+        assert main(["catalog", *key, "--params",
+                     json.dumps(self.ROW_PARAMS[key]), "-o", str(out)]) == 0
+        assert main(["certify", str(out), str(out)]) in (0, 1)
+        assert "input error" not in capsys.readouterr().err
+
+    def test_open_row_written_by_the_gamma_key_certifies(self, tmp_path):
+        out = tmp_path / "row.json"
+        params = {"lam": self.ROW_PARAMS["R3", "open"]["lam"]}
+        assert main(["catalog", "R3", "gamma", "--params", json.dumps(params),
+                     "-o", str(out)]) == 0
+        assert doc.parse(out.read_text())[1]["variant"] == "open"
+        assert main(["certify", str(out), str(out)]) == 1
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("bounds, path", [
+        ("num=60,den=60", "$.bounds.num"),
+        ("den=1000000000", "$.bounds.den"),
+        ("m=1000000000", "$.bounds.m"),
+        ("m=0,num=1000000000", "$.bounds.num"),
+    ])
+    def test_over_the_cap_exit_two_before_listing(self, monkeypatch, capsys,
+                                                  bounds, path):
+        import metlie.catalog
+
+        def refuse(bounds):
+            pytest.fail("rows were listed for bounds over the cap")
+
+        monkeypatch.setattr(metlie.catalog, "enumerate_rows", refuse)
+        assert main(["--json", "sweep", "--bounds", bounds]) == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds, path", [
+        ("mm=0", "$.bounds.mm"), ("m=x", "$.bounds.m"),
+        ("num=1.5", "$.bounds.num"), ("den=", "$.bounds.den"),
+        ("m=0,step=1", "$.bounds.step"), ("m", "$.bounds"),
+    ])
+    def test_bad_fragment_exit_two(self, monkeypatch, capsys, bounds, path):
+        import metlie.cli
+
+        def refuse(bounds):
+            pytest.fail("a sweep ran on bad bounds")
+
+        monkeypatch.setattr(metlie.cli, "sweep", refuse)
+        assert main(["--json", "sweep", "--bounds", bounds]) == 2
+        assert path in capsys.readouterr().err
 
 
 def _h1_pair(dim=3, module_dim=1, i=0, j=1):
