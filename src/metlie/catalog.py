@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import Cochain, CochainComplex, QuadraticCocycle
-from .lie import InternalCheckError, LieAlgebra, abelian, killing_form
+from .lie import (InternalCheckError, LieAlgebra, abelian, derived_subalgebra,
+                  killing_form)
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, block_diagonal,
                      rational, signature, unit_vector)
 from .modules import Representation
@@ -399,16 +400,24 @@ def _x_functionals(lam: Sequence[Fraction], dim: int) -> Tuple[Tuple, ...]:
     return tuple((v,) + (Q(0),) * (dim - 1) for v in lam)
 
 
-def _pair_functionals(lam: Sequence, dim: int) -> Tuple[Tuple, ...]:
+def _pair_functionals(lam: Sequence, l: LieAlgebra) -> Tuple[Tuple, ...]:
+    """Nonzero weight functionals on l that vanish on [l, l], padded."""
     if not isinstance(lam, (list, tuple)):
         raise RowConstraintError("$.params.lam must be a list of weight lists")
+    derived = derived_subalgebra(l).basis.data
     out = []
     for w in lam:
         w = _rationals(w, "lam")
         if all(x == 0 for x in w):
             raise RowConstraintError(
                 "$.params.lam: weight functionals must be nonzero")
-        out.append(w + (Q(0),) * (dim - len(w)))
+        w += (Q(0),) * (l.dim - len(w))
+        if len(w) > l.dim or any(sum(x * y for x, y in zip(w, v))
+                                 for v in derived):
+            raise RowConstraintError(
+                f"$.params.lam: weight functionals have {l.dim} coordinates "
+                f"and vanish on [l, l]")
+        out.append(w)
     return tuple(out)
 
 
@@ -548,7 +557,7 @@ def _table_row(base: str, variant: str, params: Dict) -> CatalogRow:
     l = base_algebra(base)
     lam = params.get("lam", ())
     lam = _sorted_positive(lam) if entry.weights == "x" \
-        else _pair_functionals(lam, l.dim)
+        else _pair_functionals(lam, l)
     m = len(lam)
     values = {name: _param(params, name) for name in entry.params}
     if variant in ("gamma", "open"):     # R3 without alpha: gamma decides
@@ -721,7 +730,8 @@ def non_isomorphism_certificate(r1: CatalogRow, r2: CatalogRow) -> str:
     same = _SAME_PARAMETERS.get((r1.base, fam1))
     if same is not None:
         lam1, lam2 = ([w[:2] for w in _pair_functionals(
-            row.params.get("lam", ()), 2)] for row in (r1, r2))
+            row.params.get("lam", ()), base_algebra(row.base))]
+            for row in (r1, r2))
         if len(lam1) != len(lam2):
             return "distinct"
         equal = not lam1 or same(*zip(*lam1), *zip(*lam2))

@@ -221,7 +221,7 @@ class CochainComplex:
                         total = vec_add(total, term)
             for a in range(p + 1):
                 for b in range(a + 1, p + 1):
-                    bracket = self.algebra.table[subset[a]][subset[b]]
+                    bracket = self.algebra.ad(subset[a]).column(subset[b])
                     rest = subset[:a] + subset[a + 1:b] + subset[b + 1:]
                     for k, ck in enumerate(bracket):
                         if ck == 0:
@@ -326,9 +326,7 @@ class CochainComplex:
         return self.differential(c).is_zero()
 
     def pair_key(self):
-        return (self.algebra.dim, self.algebra.table,
-                tuple(m.data for m in self.rep.action),
-                self.rep.form.gram.data if self.rep.form else None)
+        return self.algebra, self.rep.action, self.rep.form
 
 
 @dataclass(frozen=True)
@@ -491,7 +489,7 @@ class PairMorphism:
             return "U has the wrong shape"
         for i in range(l1.dim):
             for j in range(i + 1, l1.dim):
-                lhs = self.S.apply(l1.table[i][j])
+                lhs = self.S.apply(l1.ad(i).column(j))
                 rhs = l2.bracket(self.S.column(i), self.S.column(j))
                 if lhs != rhs:
                     return f"S does not respect the bracket on (e{i},e{j})"

@@ -4,18 +4,22 @@ Brackets, adjoint maps, characteristic series, the Killing form, the
 solvable radical (Cartan criterion), and the radical of nilpotency.
 All ideals are returned as canonical :class:`~metlie.linalg.Subspace`
 values of the ambient coordinate space.
+
+An algebra stores its brackets once, as its integer-row adjoint matrices;
+``table`` is a view of them for readers outside the library.  Sums,
+quotients and subalgebras pass theirs to the trusted ``_from_ad``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from operator import mul
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
-                     block_coordinates, linear_combination, rational,
-                     stack_rows, unit_vector, vec_add, vec_scale,
-                     zero_vector)
+                     block_coordinates, block_diagonal, lex_subsets,
+                     linear_combination, rational, stack_rows, vec_add)
 
 
 class JacobiError(ValueError):
@@ -29,55 +33,78 @@ class JacobiError(ValueError):
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra over Q given by structure constants."""
+    """Finite-dimensional Lie algebra over Q given by structure constants.
 
-    __slots__ = ("dim", "table", "labels", "_ad", "_cache")
+    The brackets are stored once, as the integer-row adjoint matrices
+    ad(e_0), ..., ad(e_{n-1}); column j of ad(e_i) is [e_i, e_j].
+    """
+
+    __slots__ = ("dim", "labels", "_ad", "_table", "_cache")
 
     def __init__(self, dim: int,
                  brackets: Mapping[Tuple[int, int], Sequence],
                  labels: Optional[Sequence[str]] = None,
                  validate: bool = True):
         """brackets maps (i, j) with i < j to the coordinates of [e_i, e_j]."""
-        self.dim = dim
-        table = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
+        coerced = {}
         for (i, j), coords in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket index ({i},{j}) out of range, need i<j")
             v = tuple(rational(x) for x in coords)
             if len(v) != dim:
                 raise ValueError("bracket coordinate length mismatch")
-            table[i][j] = v
-            table[j][i] = vec_scale(Q(-1), v)
-        self.table = tuple(tuple(row) for row in table)
+            coerced[i, j] = v
+        den = lcm(*(x.denominator for v in coerced.values() for x in v))
+        # num[i][k][j]: the k-th coordinate of [e_i, e_j], times den
+        num = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        for (i, j), v in coerced.items():
+            for k, x in enumerate(v):
+                num[i][k][j] = x.numerator * (den // x.denominator)
+                num[j][k][i] = -num[i][k][j]
+        self._adopt(tuple(Matrix._int(tuple(map(tuple, a)), den, dim, dim)
+                          for a in num), labels, validate)
+
+    @classmethod
+    def _from_ad(cls, ads: Sequence[Matrix],
+                 labels: Optional[Sequence[str]] = None,
+                 validate: bool = False) -> "LieAlgebra":
+        """The algebra with these adjoint matrices, taken without a check of
+        their shape or antisymmetry (ad(e_i)e_j = -ad(e_j)e_i), and without
+        the Jacobi check unless asked for."""
+        out = cls.__new__(cls)
+        out._adopt(tuple(ads), labels, validate)
+        return out
+
+    def _adopt(self, ads: Tuple[Matrix, ...], labels, validate: bool):
+        self.dim = len(ads)
         self.labels = tuple(labels) if labels is not None else None
-        self._ad: Dict[int, Matrix] = {}
+        self._ad = ads
+        self._table = None
         self._cache: Dict[str, object] = {}
         if validate:
             witness = self.jacobi_witness()
             if witness is not None:
                 raise JacobiError(witness)
 
+    @property
+    def table(self) -> Tuple[Tuple[Vector, ...], ...]:
+        """table[i][j] = [e_i, e_j] as Fractions: a read-only view of the
+        adjoint matrices, built on first read and then kept."""
+        if self._table is None:
+            self._table = tuple(tuple(a.column(j) for j in range(self.dim))
+                                for a in self._ad)
+        return self._table
+
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0 or i == j:
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.table[i][j]))
-        return out
+        return self.ad_vector(x).apply(y)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i) acting on column coordinates."""
-        if i not in self._ad:
-            self._ad[i] = Matrix.from_columns(
-                tuple(self.table[i][j] for j in range(self.dim)), rows=self.dim)
         return self._ad[i]
 
     def ad_vector(self, x: Vector) -> Matrix:
         return linear_combination(
-            ((xi, self.ad(i)) for i, xi in enumerate(x) if xi != 0), self.dim)
+            ((xi, self._ad[i]) for i, xi in enumerate(x) if xi != 0), self.dim)
 
     def jacobi_witness(self) -> Optional[Tuple[int, int, int, Vector]]:
         """First violating basis triple with its cyclic-sum defect, if any.
@@ -88,17 +115,13 @@ class LieAlgebra:
         """
         if self._ad_is_homomorphism():
             return None
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    s = vec_add(
-                        vec_add(self.bracket(unit_vector(self.dim, i),
-                                             self.table[j][k]),
-                                self.bracket(unit_vector(self.dim, j),
-                                             self.table[k][i])),
-                        self.bracket(unit_vector(self.dim, k), self.table[i][j]))
-                    if any(c != 0 for c in s):
-                        return (i, j, k, s)
+        ads = self._ad
+        for i, j, k in lex_subsets(self.dim, 3):
+            s = vec_add(vec_add(ads[i].apply(ads[j].column(k)),
+                                ads[j].apply(ads[k].column(i))),
+                        ads[k].apply(ads[i].column(j)))
+            if any(c != 0 for c in s):
+                return (i, j, k, s)
         return None
 
     def _ad_is_homomorphism(self) -> bool:
@@ -113,9 +136,9 @@ class LieAlgebra:
         [e_i, e_j] = ad(e_i)e_j = −ad(e_j)e_i = 0.
         """
         n, half = self.dim, self.dim // 2
-        ads = [self.ad(i) for i in range(n)]
+        ads = self._ad
         live = [not a.is_zero() for a in ads]
-        return all(self.ad_vector(self.table[i][j])
+        return all(self.ad_vector(ads[i].column(j))
                    == ads[i] @ ads[j] - ads[j] @ ads[i]
                    for lo, hi in ((0, half), (half, n))
                    for i in range(lo, hi) if live[i]
@@ -123,20 +146,16 @@ class LieAlgebra:
 
     def structure_entries(self) -> Tuple[Tuple[int, int, int, Q], ...]:
         """Sparse (i, j, k, value) quadruples with i < j, deterministic order."""
-        out = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k, val in enumerate(self.table[i][j]):
-                    if val != 0:
-                        out.append((i, j, k, val))
-        return tuple(out)
+        return tuple((i, j, k, Q(row[j], a.den))
+                     for i, a in enumerate(self._ad)
+                     for j in range(i + 1, self.dim)
+                     for k, row in enumerate(a.num) if row[j])
 
     def __eq__(self, other):
-        return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self.table == other.table)
+        return isinstance(other, LieAlgebra) and self._ad == other._ad
 
     def __hash__(self):
-        return hash((self.dim, self.table))
+        return hash(self._ad)
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.dim})"
@@ -147,23 +166,14 @@ def abelian(n: int) -> LieAlgebra:
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
-    """Block structure constants; brackets across the summands vanish."""
-    n1, n2 = g1.dim, g2.dim
-    brackets = {}
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            v = g1.table[i][j]
-            if any(c != 0 for c in v):
-                brackets[(i, j)] = v + zero_vector(n2)
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            v = g2.table[i][j]
-            if any(c != 0 for c in v):
-                brackets[(i + n1, j + n1)] = zero_vector(n1) + v
+    """Block-diagonal adjoint matrices; brackets across the summands vanish."""
+    z1, z2 = Matrix.zeros(g1.dim, g1.dim), Matrix.zeros(g2.dim, g2.dim)
     labels = None
     if g1.labels is not None and g2.labels is not None:
         labels = g1.labels + g2.labels
-    return LieAlgebra(n1 + n2, brackets, labels=labels, validate=False)
+    return LieAlgebra._from_ad(
+        [block_diagonal((a, z2)) for a in g1._ad]
+        + [block_diagonal((z1, b)) for b in g2._ad], labels)
 
 
 def bracket_subspace(g: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:
@@ -181,19 +191,10 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Joint kernel of all ad(e_j) acting on the left argument."""
-    if g.dim == 0:
-        return Subspace.zero(0)
-    if "center" in g._cache:
-        return g._cache["center"]
-    stacked = None
-    for j in range(g.dim):
-        block = Matrix.from_columns(
-            tuple(g.table[i][j] for i in range(g.dim)), rows=g.dim)
-        stacked = block if stacked is None else stacked.vstack(block)
-    out = Subspace(g.dim, stacked.nullspace().rref()[0])
-    g._cache["center"] = out
-    return out
+    """Joint kernel of all ad(e_j)."""
+    if "center" not in g._cache:
+        g._cache["center"] = Subspace.zero(g.dim).preimage(g._ad)
+    return g._cache["center"]
 
 
 @dataclass(frozen=True)
@@ -314,18 +315,16 @@ def is_ideal(g: LieAlgebra, U: Subspace) -> bool:
 
 def subalgebra_restriction(g: LieAlgebra, U: Subspace,
                            validate: bool = False) -> LieAlgebra:
-    """Structure constants of a bracket-closed subspace in its own basis."""
-    rows = U.basis.data
-    brackets = {}
-    for a in range(U.dim):
-        for b in range(a + 1, U.dim):
-            w = g.bracket(rows[a], rows[b])
-            coords = U.coordinates(w)
-            if coords is None:
-                raise ValueError("subspace is not closed under the bracket")
-            if any(c != 0 for c in coords):
-                brackets[(a, b)] = coords
-    return LieAlgebra(U.dim, brackets, validate=validate)
+    """Structure constants of a bracket-closed subspace in its own basis:
+    each ad(u) restricted to U, in coordinates along U."""
+    if not U.contains_subspace(bracket_subspace(g, U, U)):
+        raise ValueError("subspace is not closed under the bracket")
+    coords = block_coordinates(
+        (U.basis.data, U.complement_in(Subspace.full(g.dim)).basis.data), 0,
+        g.dim)
+    return LieAlgebra._from_ad(
+        [coords @ g.ad_vector(u) @ U.basis.transpose() for u in U.basis.data],
+        validate=validate)
 
 
 def quotient_algebra(g: LieAlgebra, ideal: Subspace
@@ -337,12 +336,7 @@ def quotient_algebra(g: LieAlgebra, ideal: Subspace
     if not is_ideal(g, ideal):
         raise ValueError("quotient by a non-ideal")
     comp = ideal.complement_in(Subspace.full(g.dim))
-    lift = Matrix.from_columns(comp.basis.data, rows=g.dim)
+    lift = comp.basis.transpose()
     proj = block_coordinates((ideal.basis.data, comp.basis.data), 1, g.dim)
-    brackets = {}
-    for a in range(comp.dim):
-        for b in range(a + 1, comp.dim):
-            w = proj.apply(g.bracket(comp.basis.data[a], comp.basis.data[b]))
-            if any(c != 0 for c in w):
-                brackets[(a, b)] = w
-    return LieAlgebra(comp.dim, brackets, validate=False), proj, lift
+    ads = [proj @ g.ad_vector(c) @ lift for c in comp.basis.data]
+    return LieAlgebra._from_ad(ads), proj, lift

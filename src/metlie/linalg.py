@@ -153,7 +153,8 @@ class Matrix:
         return self.data[i]
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.data)
+        den = self.den
+        return tuple(Fraction(r[j], den) if r[j] else _ZERO for r in self.num)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows

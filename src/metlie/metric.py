@@ -14,11 +14,11 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .cohomology import Cochain, CochainComplex, QuadraticCocycle
-from .lie import (InternalCheckError, LieAlgebra, is_ideal,
-                  quotient_algebra, solvable_radical, subalgebra_restriction,
-                  unit_vector)
+from .lie import (InternalCheckError, LieAlgebra, bracket_subspace, is_ideal,
+                  quotient_algebra, solvable_radical, subalgebra_restriction)
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, block_coordinates,
-                     orthogonal_complement, signature, vec_scale, vec_sub)
+                     orthogonal_complement, signature, unit_vector, vec_scale,
+                     vec_sub)
 from .modules import (ModuleFiltration, Representation, adjoint_representation,
                       filtration)
 
@@ -95,8 +95,8 @@ def invariance_witness(g: LieAlgebra, form: SymmetricForm
     for i in range(g.dim):
         for j in range(g.dim):
             for k in range(g.dim):
-                lhs = form.evaluate(g.table[i][k], unit_vector(g.dim, j))
-                rhs = form.evaluate(unit_vector(g.dim, i), g.table[k][j])
+                lhs = form.evaluate(g.ad(i).column(k), unit_vector(g.dim, j))
+                rhs = form.evaluate(unit_vector(g.dim, i), g.ad(k).column(j))
                 if lhs != rhs:
                     return i, k, j, lhs, rhs
     return None
@@ -138,7 +138,7 @@ def canonical_ideals(metric: MetricLieAlgebra,
             raise InternalCheckError(
                 f"adjoint filtration: S_{k} != R_{k}^perp")
     simple = None
-    if not _is_abelian_quotient(g, coiso, iso):
+    if not iso.contains_subspace(bracket_subspace(g, coiso, coiso)):
         simple = find_simple_ideal(metric)
         if simple is None:
             raise InternalCheckError(
@@ -150,22 +150,13 @@ def canonical_ideals(metric: MetricLieAlgebra,
     return out
 
 
-def _is_abelian_quotient(g: LieAlgebra, larger: Subspace, smaller: Subspace) -> bool:
-    for u in larger.basis.data:
-        for v in larger.basis.data:
-            if not smaller.contains(g.bracket(u, v)):
-                return False
-    return True
-
-
 def find_simple_ideal(metric: MetricLieAlgebra) -> Optional[Subspace]:
     """A simple ideal, or None; the square of the radical's form-complement
     is the candidate, confirmed by a vanishing solvable radical."""
     g = metric.algebra
     r = solvable_radical(g)
     k = orthogonal_complement(r, metric.form)
-    square_rows = [g.bracket(u, v) for u in k.basis.data for v in k.basis.data]
-    candidate = Subspace.span(g.dim, square_rows)
+    candidate = bracket_subspace(g, k, k)
     if candidate.dim == 0:
         return None
     if not is_ideal(g, candidate):
@@ -246,7 +237,7 @@ def extension_from_ideal(metric: MetricLieAlgebra, iso: Subspace,
         raise ValueError("chosen ideal is not isotropic")
     if not is_ideal(g, iso):
         raise ValueError("chosen subspace is not an ideal")
-    if not _is_abelian_quotient(g, perp, iso):
+    if not iso.contains_subspace(bracket_subspace(g, perp, perp)):
         raise ValueError("perp/ideal is not abelian; extension undefined")
 
     base, base_proj, _ = quotient_algebra(g, perp)
@@ -254,17 +245,13 @@ def extension_from_ideal(metric: MetricLieAlgebra, iso: Subspace,
 
     # module a = perp/iso on a complement basis inside perp
     a_space = iso.complement_in(perp)
-    m = a_space.dim
-    a_lift = Matrix.from_columns(a_space.basis.data, rows=g.dim)
+    a_lift = a_space.basis.transpose()
     # projection perp -> a-coordinates killing iso
     a_proj = block_coordinates(
         (iso.basis.data, a_space.basis.data,
          perp.complement_in(Subspace.full(g.dim)).basis.data), 1, g.dim)
 
-    gram = Matrix(tuple(tuple(metric.form.evaluate(u, v)
-                              for v in a_space.basis.data)
-                        for u in a_space.basis.data), m, m)
-    a_form = SymmetricForm(gram)
+    a_form = metric.form.restrict(a_space)
     if not a_form.is_nondegenerate():
         raise InternalCheckError("induced form on perp/ideal is degenerate")
 
@@ -274,13 +261,9 @@ def extension_from_ideal(metric: MetricLieAlgebra, iso: Subspace,
     coeff = base_proj @ raw
     section = raw @ coeff.inverse()
 
-    action = []
-    for i in range(n):
-        lift_i = section.column(i)
-        cols = [a_proj.apply(g.bracket(lift_i, a_lift.column(t)))
-                for t in range(m)]
-        action.append(Matrix.from_columns(cols, rows=m))
-    module = Representation(base, tuple(action), form=a_form, validate=True)
+    action = tuple(a_proj @ g.ad_vector(section.column(i)) @ a_lift
+                   for i in range(n))
+    module = Representation(base, action, form=a_form, validate=True)
     cocycle = _section_cocycle(metric, CochainComplex(base, module), section,
                                base_proj, a_proj)
     return ExtensionData(metric=metric, base=base, module=module, ideal=iso,
@@ -295,11 +278,12 @@ def _section_cocycle(metric: MetricLieAlgebra, cx: CochainComplex,
     g = metric.algebra
     n, m = cx.n, cx.module_dim
     cols = [section.column(i) for i in range(n)]
+    ads = [g.ad_vector(c) for c in cols]
     alpha_vals = {}
     gamma_vals = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = g.bracket(cols[i], cols[j])
+            w = ads[i].apply(cols[j])
             residual = vec_sub(w, section.apply(base_proj.apply(w)))
             alpha_vals[(i, j)] = a_proj.apply(residual)
             for k in range(j + 1, n):

@@ -47,7 +47,7 @@ from .lie import (IdealChain, InternalCheckError, LieAlgebra, center,
                   nilpotency_radical, quotient_algebra)
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
                      block_coordinates, block_diagonal, linear_combination,
-                     stack_rows, unit_vector)
+                     stack_rows)
 
 
 class Representation:
@@ -94,7 +94,7 @@ class Representation:
         g = self.algebra
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = self.rho(g.table[i][j])
+                lhs = self.rho(g.ad(i).column(j))
                 rhs = self.action[i] @ self.action[j] - self.action[j] @ self.action[i]
                 if lhs != rhs:
                     return f"rho([e{i},e{j}]) != [rho(e{i}),rho(e{j})]"
@@ -358,12 +358,8 @@ def invariant_split(rep: Representation) -> Tuple[Subspace, Subspace]:
     if not is_semisimple(rep):
         raise ValueError("invariant_split requires a semisimple representation")
     m = rep.module_dim
-    if rep.algebra.dim == 0:
-        return Subspace.full(m), Subspace.zero(m)
-    stacked = rep.action[0]
-    for a in rep.action[1:]:
-        stacked = stacked.vstack(a)
-    invariants = Subspace(m, stacked.nullspace().rref()[0])
-    image_rows = [a.apply(unit_vector(m, j)) for a in rep.action for j in range(m)]
-    complement = Subspace.span(m, image_rows)
+    invariants = Subspace.zero(m).preimage(rep.action)
+    # the rows of each aᵀ are the images a·e_j
+    complement = Subspace.row_space(
+        stack_rows([a.transpose() for a in rep.action], m))
     return invariants, complement

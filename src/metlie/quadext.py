@@ -1,21 +1,23 @@
 """Standard-model metric Lie algebras and balancedness/admissibility.
 
 Builds d(l, a, rho; alpha, gamma) on l* + a + l with the hyperbolic-plus-a
-form, the modified model with an extra invariant form on l, the unipotent
-isometries Psi(tau, sigma), the balancedness test through the canonical
-isotropic ideal, the per-level admissibility conditions evaluated through
-the socles of the subquotients h_k/h_k^perp (read as preimages under the
-radical operators of the model's adjoint module), and decidable
-indecomposability for the base-algebra shapes where complete case analysis
-is available.
+form, the modified model with an extra invariant form on l, and the
+unipotent isometries Psi(tau, sigma), each assembled from blocks (rho,
+alpha, gamma, the adjoint matrices of l and the Gram matrix of a).  Then
+the balancedness test through the canonical isotropic ideal, the
+per-level admissibility conditions evaluated through the socles of the
+subquotients h_k/h_k^perp (read as preimages under the radical operators
+of the model's adjoint module), and decidable indecomposability for the
+base-algebra shapes where complete case analysis is available.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .cohomology import (Cochain, CochainComplex, NotACocycleError,
                          QuadraticCochain, QuadraticCocycle,
@@ -24,7 +26,8 @@ from .lie import (InternalCheckError, LieAlgebra, center,
                   derived_subalgebra)
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
                      block_coordinates, lex_subsets, orthogonal_complement,
-                     unit_vector, vec_add, vec_scale, zero_vector)
+                     stack_rows, unit_vector, vec_add, vec_scale,
+                     zero_vector)
 from .metric import MetricLieAlgebra, canonical_ideals, invariance_witness
 from .modules import (Representation, adjoint_representation, filtration,
                       invariant_split, is_semisimple)
@@ -46,96 +49,90 @@ class StandardModel:
                                 validate=False)
 
 
-def _model_table(cx: CochainComplex, alpha: Cochain, gamma: Cochain
-                 ) -> Dict[Tuple[int, int], Vector]:
-    """Structure constants on l* + a + l from the bracket rules."""
-    l = cx.algebra
-    rep = cx.rep
+def _grid(n: int, m: int, blocks) -> Matrix:
+    """The matrix on l* + a + l (block sizes n, m, n) with the given 3 x 3
+    blocks, None standing for a zero block."""
+    sizes = (n, m, n)
+    return stack_rows([functools.reduce(Matrix.hstack, (
+        Matrix.zeros(r, c) if b is None else b for b, c in zip(row, sizes)))
+        for row, r in zip(blocks, sizes)], 2 * n + m)
+
+
+def _model_ads(cx: CochainComplex, alpha: Cochain,
+               gamma: Cochain) -> List[Matrix]:
+    """ad(Z_a), ad(A_s), ad(L_i) on l* + a + l, from blocks.
+
+    With ρ_i = ρ(e_i), G the Gram matrix of a, α_i the m x n matrix with
+    columns α(e_i, e_j) and Γ_i the n x n matrix with Γ_i[k][j] =
+    γ(e_i, e_j, e_k),
+
+        ad(L_i) = [[-ad(e_i)ᵀ, -(G α_i)ᵀ, Γ_i],
+                   [    0,         ρ_i,   α_i],
+                   [    0,          0,  ad(e_i)]]:
+
+    L_i acts on l* coadjointly and on a by ρ, [L_i, A_t] has the l*-part
+    -<A_t, α(e_i, .)>, and [L_i, L_j] = γ(e_i, e_j, .) + α(e_i, e_j) +
+    [e_i, e_j].  For y in l* + a, column L_i of ad(y) is minus column y of
+    ad(L_i), and the only other brackets are [A_s, A_t] = <ρ(.)A_s, A_t>
+    in l*, read for s < t.
+    """
+    l, rep = cx.algebra, cx.rep
     n, m = l.dim, rep.module_dim
-    gram = rep.form.gram
-
-    def embed(z_part, a_part, l_part):
-        return tuple(z_part) + tuple(a_part) + tuple(l_part)
-
-    zero_a, zero_l = zero_vector(m), zero_vector(n)
-    brackets: Dict[Tuple[int, int], Vector] = {}
-
-    # [Z_a, L_i] = -ad*(L_i) Z_a; (ad*(L)Z)(L') = -Z([L, L'])
-    for a in range(n):
-        for i in range(n):
-            z_part = [l.table[i][b][a] for b in range(n)]
-            v = embed(z_part, zero_a, zero_l)
-            if any(c != 0 for c in v):
-                brackets[(a, n + m + i)] = v
-
-    # [A_s, A_t] = <rho(.) A_s, A_t> in l*
-    for s in range(m):
-        for t in range(s + 1, m):
-            As, At = unit_vector(m, s), unit_vector(m, t)
-            z_part = [sum(x * y for x, y in
-                          zip(gram.apply(rep.action[i].apply(As)), At))
-                      for i in range(n)]
-            v = embed(z_part, zero_a, zero_l)
-            if any(c != 0 for c in v):
-                brackets[(n + s, n + t)] = v
-
-    # [A_t, L_i] = -[L_i, A_t] = -rho(e_i)A_t + <A_t, alpha(e_i, .)>
-    for t in range(m):
-        At = unit_vector(m, t)
-        for i in range(n):
-            a_part = vec_scale(Q(-1), rep.action[i].apply(At))
-            z_part = [sum(x * y for x, y in
-                          zip(gram.apply(alpha.eval_indices((i, j))), At))
-                      for j in range(n)]
-            v = embed(z_part, a_part, zero_l)
-            if any(c != 0 for c in v):
-                brackets[(n + t, n + m + i)] = v
-
-    # [L_i, L_j] = gamma(e_i,e_j,.) + alpha(e_i,e_j) + [e_i,e_j]_l
+    N = 2 * n + m
+    G = rep.form.gram
+    ad_L = []
     for i in range(n):
-        for j in range(i + 1, n):
-            z_part = [gamma.eval_indices((i, j, k))[0] for k in range(n)]
-            v = embed(z_part, alpha.eval_indices((i, j)), l.table[i][j])
-            if any(c != 0 for c in v):
-                brackets[(n + m + i, n + m + j)] = v
-    return brackets
+        ad_i = l.ad(i)
+        alpha_i = Matrix.from_columns(
+            [alpha.eval_indices((i, j)) for j in range(n)], rows=m)
+        gamma_i = Matrix.from_columns(
+            [[gamma.eval_indices((i, j, k))[0] for k in range(n)]
+             for j in range(n)], rows=n)
+        ad_L.append(_grid(n, m, (
+            (-ad_i.transpose(), -(G @ alpha_i).transpose(), gamma_i),
+            (None, rep.action[i], alpha_i),
+            (None, None, ad_i))))
+    # [A_s, A_t] at Z_i, read for s < t: entry (s, t) of Uᵀ - U, with U
+    # the part of Gρ_i below the diagonal
+    lower = [Matrix([[x if c < r else 0 for c, x in enumerate(row)]
+                     for r, row in enumerate((G @ a).data)], m, m)
+             for a in rep.action]
+    aa = [u.transpose() - u for u in lower]
+    ads = []
+    zero = Matrix.zeros(N, n + m)
+    for y in range(n + m):
+        left = zero
+        if y >= n:
+            block = Matrix.from_rows([b.row(y - n) for b in aa], cols=m)
+            left = stack_rows((Matrix.zeros(n, n).hstack(block),
+                               Matrix.zeros(n + m, n + m)), n + m)
+        right = Matrix.from_columns([a.column(y) for a in ad_L], rows=N)
+        ads.append(left.hstack(-right))
+    return ads + ad_L
 
 
 def _model_form(cx: CochainComplex,
                 ip_l: Optional[SymmetricForm] = None) -> SymmetricForm:
     n, m = cx.algebra.dim, cx.rep.module_dim
-    N = 2 * n + m
-    rows = []
-    for a in range(N):
-        row = [Q(0)] * N
-        rows.append(row)
-    for a in range(n):
-        rows[a][n + m + a] = Q(1)
-        rows[n + m + a][a] = Q(1)
-    for s in range(m):
-        for t in range(m):
-            rows[n + s][n + t] = cx.rep.form.gram[s, t]
-    if ip_l is not None:
-        for i in range(n):
-            for j in range(n):
-                rows[n + m + i][n + m + j] += ip_l.gram[i, j]
-    return SymmetricForm(Matrix(rows, N, N))
+    one = Matrix.identity(n)
+    return SymmetricForm(_grid(n, m, (
+        (None, None, one), (None, cx.rep.form.gram, None),
+        (one, None, None if ip_l is None else ip_l.gram))))
 
 
 def build_model(z: QuadraticCocycle, force: bool = False) -> StandardModel:
     """Metric Lie algebra d on l* + a + l from a quadratic cocycle.
 
-    With ``force`` the table is assembled without any validation, so the
-    Jacobi test can be run on non-cocycle data.
+    With ``force`` the adjoint matrices are assembled without any
+    validation, so the Jacobi test can be run on non-cocycle data.
     """
     cx = z.complex
     if cx.rep.form is None:
         raise ValueError("standard model needs an orthogonal module")
     n, m = cx.algebra.dim, cx.rep.module_dim
-    brackets = _model_table(cx, z.alpha, z.gamma)
-    algebra = LieAlgebra(2 * n + m, brackets, validate=not force)
-    form = _model_form(cx)
-    metric = MetricLieAlgebra(algebra, form, validate=not force)
+    algebra = LieAlgebra._from_ad(_model_ads(cx, z.alpha, z.gamma),
+                                  validate=not force)
+    metric = MetricLieAlgebra(algebra, _model_form(cx), validate=not force)
     return StandardModel(metric, cx, z.alpha, z.gamma,
                          dual_block=range(0, n),
                          module_block=range(n, n + m),
@@ -161,26 +158,24 @@ def build_modified(z: QuadraticCocycle, ip_l: SymmetricForm
                          f"{bad[2]}))")
     n, m = l.dim, cx.rep.module_dim
     N = 2 * n + m
-    brackets = _model_table(cx, z.alpha, z.gamma)
-    algebra = LieAlgebra(N, brackets, validate=True)
+    algebra = LieAlgebra._from_ad(_model_ads(cx, z.alpha, z.gamma),
+                                  validate=True)
     metric = MetricLieAlgebra(algebra, _model_form(cx, ip_l), validate=True)
     modified = StandardModel(metric, cx, z.alpha, z.gamma,
                              range(0, n), range(n, n + m), range(n + m, N))
 
-    # gamma'(x,y,w) = gamma(x,y,w) - 1/2 ip_l([x,y], w)
-    shift = {}
-    for (i, j, k) in lex_subsets(n, 3):
-        shift[(i, j, k)] = (Q(-1, 2) * ip_l.evaluate(l.table[i][j],
-                                                     unit_vector(n, k)),)
+    # gamma'(x,y,w) = gamma(x,y,w) - 1/2 ip_l([x,y], w), and
+    # ip_l([e_i, e_j], e_k) is entry (k, j) of ip_l·ad(e_i)
+    pairings = [ip_l.gram @ l.ad(i) for i in range(n)]
+    shift = {(i, j, k): (Q(-1, 2) * pairings[i][k, j],)
+             for (i, j, k) in lex_subsets(n, 3)}
     gamma_target = z.gamma + Cochain.from_values(n, 3, 1, shift)
     target = build_model(QuadraticCocycle(cx, z.alpha, gamma_target))
 
     # Z+A+L  ->  Z + 1/2 ip_l(L, .) + A + L
-    rows = [[Q(1) if r == c else Q(0) for c in range(N)] for r in range(N)]
-    for a in range(n):
-        for i in range(n):
-            rows[a][n + m + i] += Q(1, 2) * ip_l.gram[i, a]
-    phi = Matrix(rows, N, N)
+    phi = _grid(n, m, ((Matrix.identity(n), None, ip_l.gram.scale(Q(1, 2))),
+                       (None, Matrix.identity(m), None),
+                       (None, None, Matrix.identity(n))))
 
     _assert_isometric_isomorphism(modified.metric, target.metric, phi)
     return modified, phi, target
@@ -190,14 +185,12 @@ def _assert_isometric_isomorphism(src: MetricLieAlgebra, dst: MetricLieAlgebra,
                                   phi: Matrix):
     if phi.transpose() @ dst.form.gram @ phi != src.form.gram:
         raise InternalCheckError("claimed equivalence is not an isometry")
-    n = src.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = phi.apply(src.algebra.table[i][j])
-            rhs = dst.algebra.bracket(phi.column(i), phi.column(j))
-            if lhs != rhs:
-                raise InternalCheckError(
-                    "claimed equivalence is not a Lie homomorphism")
+    # phi[e_i, y] = [phi e_i, phi y] for every y
+    for i in range(src.dim):
+        if phi @ src.algebra.ad(i) != \
+                dst.algebra.ad_vector(phi.column(i)) @ phi:
+            raise InternalCheckError(
+                "claimed equivalence is not a Lie homomorphism")
 
 
 def psi_map(cx: CochainComplex, c: QuadraticCochain) -> Matrix:
@@ -206,10 +199,8 @@ def psi_map(cx: CochainComplex, c: QuadraticCochain) -> Matrix:
     Psi(tau, sigma) maps the model of z·(tau, sigma) isomorphically onto the
     model of z, and is a group homomorphism in (tau, sigma).
     """
-    l = cx.algebra
     rep = cx.rep
-    n, m = l.dim, rep.module_dim
-    N = 2 * n + m
+    n, m = cx.algebra.dim, rep.module_dim
     tau, sigma = c.tau, c.sigma
     tau_mat = Matrix.from_columns(tuple(tau.value((i,)) for i in range(n)),
                                   rows=m)
@@ -217,20 +208,9 @@ def psi_map(cx: CochainComplex, c: QuadraticCochain) -> Matrix:
     sigma_bar = Matrix(tuple(tuple(sigma.eval_indices((j, i))[0]
                                    for j in range(n)) for i in range(n)), n, n)
     corner = sigma_bar - (tau_star @ tau_mat).scale(Q(1, 2))   # l -> l*
-
-    rows = []
-    for r in range(N):
-        row = [Q(1) if r == cidx else Q(0) for cidx in range(N)]
-        rows.append(row)
-    for r in range(n):
-        for cidx in range(m):
-            rows[r][n + cidx] = -tau_star[r, cidx]
-        for cidx in range(n):
-            rows[r][n + m + cidx] = corner[r, cidx]
-    for r in range(m):
-        for cidx in range(n):
-            rows[n + r][n + m + cidx] = tau_mat[r, cidx]
-    return Matrix(rows, N, N)
+    return _grid(n, m, ((Matrix.identity(n), -tau_star, corner),
+                        (None, Matrix.identity(m), tau_mat),
+                        (None, None, Matrix.identity(n))))
 
 
 @dataclass(frozen=True)
@@ -423,7 +403,7 @@ def _level0_explicit(z: QuadraticCocycle, rho_ss: bool):
                 for u in range(m):
                     row[r + u] = gav[u]
                 for b in range(n):
-                    row[r + m + b] = -l.table[i][j][b]
+                    row[r + m + b] = -l.ad(i)[b, j]
                 rows.append(row)
         system = Matrix.from_rows(tuple(rows), cols=unknowns)
         sol_space = system.nullspace()
@@ -455,23 +435,17 @@ def alpha0_kernel_image(z: QuadraticCocycle) -> Subspace:
     # projection onto a^l along rho(l)a
     if inv.dim + img.dim != m:
         raise InternalCheckError("invariant split is not a direct sum")
-    proj0 = Matrix.from_columns(inv.basis.data, rows=m) @ \
+    proj0 = inv.basis.transpose() @ \
         block_coordinates((inv.basis.data, img.basis.data), 0, m)
     pairs = lex_subsets(n, 2)
     if not pairs:
         return Subspace.zero(m)
-    bracket_cols = [l.table[i][j] for (i, j) in pairs]
-    bracket_mat = Matrix.from_columns(bracket_cols, rows=n)
-    kernel = bracket_mat.nullspace()
-    rows = []
-    for combo in kernel.data:
-        total = zero_vector(m)
-        for coeff, (i, j) in zip(combo, pairs):
-            if coeff != 0:
-                total = vec_add(total,
-                                vec_scale(coeff, z.alpha.eval_indices((i, j))))
-        rows.append(proj0.apply(total))
-    return Subspace.span(m, rows)
+    # combinations of the pairs (e_i, e_j) that the bracket kills, and the
+    # values alpha(e_i, e_j) as columns: the rows of kernel·(proj0·values)ᵀ
+    kernel = Matrix.from_columns([l.ad(i).column(j) for (i, j) in pairs],
+                                 rows=n).nullspace()
+    values = Matrix.from_columns([z.alpha.value(p) for p in pairs], rows=m)
+    return Subspace.row_space(kernel @ (proj0 @ values).transpose())
 
 
 def bk_system_solvable(z: QuadraticCocycle, k: int, b: Subspace) -> bool:
@@ -496,7 +470,7 @@ def bk_system_solvable(z: QuadraticCocycle, k: int, b: Subspace) -> bool:
                     alpha_val = vec_add(alpha_val,
                                         vec_scale(cval,
                                                   z.alpha.eval_indices((i, b_idx))))
-            bracket = l.bracket(unit_vector(n, i), Kvec)
+            bracket = l.ad(i).apply(Kvec)
             bracket_coords = r_k.coordinates(bracket)
             if bracket_coords is None:
                 raise InternalCheckError("R_k is not an ideal")
@@ -764,26 +738,16 @@ def _coordinate_split(z: QuadraticCocycle) -> Optional[Subspace]:
 
 
 def _is_block_split(l: LieAlgebra, left, right) -> bool:
-    for i in left:
-        for j in right:
-            if any(c != 0 for c in l.table[i][j]):
-                return False
-    left_space = Subspace.span(l.dim, [unit_vector(l.dim, i) for i in left])
-    right_space = Subspace.span(l.dim, [unit_vector(l.dim, i) for i in right])
-    return (all(left_space.contains(l.table[i][j]) for i in left for j in left)
-            and all(right_space.contains(l.table[i][j])
-                    for i in right for j in right))
+    """[left, right] = 0 and each block is a subalgebra: ad(e_i) of a basis
+    vector of one block vanishes on the other's columns and rows."""
+    return not any(row[c] for block, other in ((left, right), (right, left))
+                   for i in block for r, row in enumerate(l.ad(i).num)
+                   for c in (range(l.dim) if r in other else other))
 
 
 def _joint_kernel(rep: Representation, indices) -> Subspace:
-    m = rep.module_dim
-    stacked = None
-    for i in indices:
-        stacked = rep.action[i] if stacked is None \
-            else stacked.vstack(rep.action[i])
-    if stacked is None:
-        return Subspace.full(m)
-    return Subspace(m, stacked.nullspace().rref()[0])
+    return Subspace.zero(rep.module_dim).preimage(
+        [rep.action[i] for i in indices])
 
 
 def _class_supported_blockwise(z: QuadraticCocycle, left, right,

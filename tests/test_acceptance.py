@@ -328,3 +328,20 @@ def test_criterion_10_betti_numbers():
     assert dims[2] == 2
     assert dims[3] == 1
     report(10, "Betti numbers of h(1)", started)
+
+
+def test_criterion_11_index3_catalog_m3():
+    """The table up to m = 3 passes: 349 rows, of which the 60 conditional
+    ones are all R3, three controls, and every certificate family pairwise
+    distinct."""
+    started = time.time()
+    result = sweep(SweepBounds(m=3))
+    assert result.all_passed
+    assert len(result.rows) == 349
+    conditional = [rr.row.base for rr in result.rows if rr.conditional]
+    assert conditional == ["R3"] * 60
+    assert len(result.controls) == 3
+    assert result.family_distinct
+    assert all(result.family_distinct.values()), result.family_distinct
+    report(11, f"index-3 catalog m<=3: {len(result.rows)} rows verified",
+           started)

@@ -203,6 +203,9 @@ class TestPipelines:
         ("h1", "I", '{"lam": [["0", "0"]]}', "$.params.lam"),
         ("su2", "ck", '{"m": 10, "k": [[3, 1], []]}', "$.params.k"),
         ("su2", "ck", '{"m": 3, "k": [[], [1]]}', "$.params.k"),
+        ("R2", "I", '{"lam": [["1", "0", "5"]]}', "$.params.lam"),
+        ("R3", "a1", '{"lam": [["1", "0", "0", "1"]]}', "$.params.lam"),
+        ("h1", "I", '{"lam": [["1", "0", "1"]]}', "$.params.lam"),
     ], ids=["n2-III-negative-r", "n2-III-missing-r", "R1-I-missing-nu",
             "R1-III-missing-mu", "n2-III-null-r", "n2-III-list-r",
             "n2-III-nested-lam", "R1-III-string-mu", "su2-null-m",
@@ -211,7 +214,8 @@ class TestPipelines:
             "R1-I-zero-nu", "R1-III-small-mu2", "R1-III-short-mu",
             "R2-III-one-weight", "R2-III-two-lines", "R3-open-few-weights",
             "R3-gamma-absent-few-weights", "h1-zero-functional",
-            "su2-unsorted-k", "su2-k-not-partition"])
+            "su2-unsorted-k", "su2-k-not-partition", "R2-I-long-weight",
+            "R3-a1-long-weight", "h1-I-weight-off-the-centre"])
     def test_row_constraint_violation_exit_two(self, capsys, base, variant,
                                                params, path):
         assert main(["catalog", base, variant, "--params", params]) == 2

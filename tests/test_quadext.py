@@ -1,6 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
 
 from metlie import (Cochain, CochainComplex, Matrix, QuadraticCochain,
                     QuadraticCocycle, Representation, SymmetricForm, abelian,
@@ -10,11 +11,12 @@ from metlie import (Cochain, CochainComplex, Matrix, QuadraticCochain,
                     killing_form, psi_map, q_action, q_star,
                     trivial_representation)
 from metlie.catalog import base_algebra, build_rep, RepFamilySpec
-from metlie.linalg import unit_vector
+from metlie.linalg import signature, unit_vector
 from metlie.quadext import bk_system_solvable
 from metlie.modules import submodule_generated
 
 from conftest import random_cochain, random_cocycle, rotation_rep
+from test_model_routes import pairs, random_invariant_form
 
 
 def oscillator_pair():
@@ -404,3 +406,44 @@ class TestRegularBalancedness:
         # and precisely this class is decomposable along the spare direction
         verdict = is_indecomposable_class(z, assume_admissible=True)
         assert verdict.indecomposable is False
+
+
+INVARIANTS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestModelInvariants:
+    """The paper's invariants of the standard model, on random classes over
+    n2, r3m1, h1 and R2 with orthogonal modules in random bases."""
+
+    @INVARIANTS
+    @given(pairs)
+    def test_index(self, pair):
+        # l* + l is hyperbolic whatever the l-l block, so the index of d is
+        # dim l plus that of a
+        cx, rng = pair
+        z = random_cocycle(rng, cx)
+        expected = cx.n + signature(cx.rep.form)[0]
+        assert build_model(z).metric.index() == expected
+        modified, _, _ = build_modified(z, random_invariant_form(rng, cx.algebra))
+        assert modified.metric.index() == expected
+
+    @INVARIANTS
+    @given(pairs)
+    def test_orbits(self, pair):
+        # z·(tau, sigma) is equivalent to z, and Psi of the witness is an
+        # isometric isomorphism of the models
+        cx, rng = pair
+        z = random_cocycle(rng, cx)
+        moved = q_action(z, QuadraticCochain(
+            random_cochain(rng, cx, 1), random_cochain(rng, cx, 2, scalar=True)))
+        witness = equivalent_cocycles(moved, z)
+        assert witness is not None
+        psi = psi_map(cx, witness)
+        src, dst = build_model(moved).metric, build_model(z).metric
+        assert psi.transpose() @ dst.form.gram @ psi == src.form.gram
+        N = src.dim
+        for i in range(N):
+            for j in range(i + 1, N):
+                assert psi.apply(src.algebra.bracket(unit_vector(N, i),
+                                                     unit_vector(N, j))) == \
+                    dst.algebra.bracket(psi.column(i), psi.column(j))
