@@ -23,7 +23,7 @@ from .lie import (InternalCheckError, LieAlgebra, abelian, derived_subalgebra,
                   killing_form)
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, block_diagonal,
                      rational, signature, unit_vector)
-from .modules import Representation
+from .modules import Representation, sub_representation
 from .quadext import (IndecomposabilityVerdict, StandardModel,
                       admissibility, build_model, build_modified,
                       is_balanced, is_indecomposable_class)
@@ -230,16 +230,10 @@ def su2_odd_irrep(k: int, l: Optional[LieAlgebra] = None) -> Representation:
         raise InternalCheckError(
             f"harmonic space of degree {k} has dim {harmonic.dim}")
 
-    basis = harmonic.basis.data
-    action = []
-    for A in full_action:
-        cols = []
-        for h in basis:
-            coords = harmonic.coordinates(A.apply(h))
-            if coords is None:
-                raise InternalCheckError("rotation does not preserve harmonics")
-            cols.append(coords)
-        action.append(Matrix.from_columns(cols, rows=harmonic.dim))
+    polys = Representation(l, tuple(full_action), validate=False)
+    if not polys.is_submodule(harmonic):
+        raise InternalCheckError("rotation does not preserve harmonics")
+    action = sub_representation(polys, harmonic)[0].action
     gram = _invariant_symmetric_gram(action)
     return Representation(l, tuple(action), form=SymmetricForm(gram),
                           validate=True)

@@ -3,7 +3,7 @@
 Subcommands: validate, analyze, cohomology, build, extract, check-balanced,
 check-admissible, equivalent, catalog, sweep, certify.  Exit status 0 for
 success and true verdicts, 1 for false verdicts, 2 for input errors, and 3
-for internal cross-check failures (a bug, never valid input behaviour).
+for internal failures (a bug, never valid input behaviour).
 All numeric output is exact; --json selects the machine format.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Dict, List, Optional
 
 from . import documents as doc
@@ -19,8 +20,7 @@ from .catalog import (SweepBounds, catalog_row, non_isomorphism_certificate,
                       sweep)
 from .cohomology import CochainComplex, cocycle_defect, equivalent_cocycles
 from .lie import InternalCheckError
-from .metric import (SimpleIdealError, canonical_extension, canonical_ideals,
-                     metric_violation)
+from .metric import canonical_extension, canonical_ideals, metric_violation
 from .quadext import admissibility, build_model, is_balanced
 
 EXIT_OK = 0
@@ -388,21 +388,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except doc.DocumentError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InternalCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except SimpleIdealError as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # DocumentError, JacobiError and the other input errors
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as exc:
+        # a bug, never a verdict: exit 1 would read as a false one
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

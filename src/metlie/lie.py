@@ -103,8 +103,7 @@ class LieAlgebra:
         return self._ad[i]
 
     def ad_vector(self, x: Vector) -> Matrix:
-        return linear_combination(
-            ((xi, self._ad[i]) for i, xi in enumerate(x) if xi != 0), self.dim)
+        return linear_combination(zip(x, self._ad), self.dim)
 
     def jacobi_witness(self) -> Optional[Tuple[int, int, int, Vector]]:
         """First violating basis triple with its cyclic-sum defect, if any.
@@ -178,9 +177,10 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
 
 def bracket_subspace(g: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:
     """Span of [u, v] over basis vectors of U and V: the rows of
-    V·ad(u)ᵀ are the brackets [u, v]."""
+    V·ad(u)ᵀ are the brackets [u, v].  Only the span counts, so u is read
+    as an integer row of U's basis."""
     return Subspace.row_space(stack_rows(
-        [V.basis @ g.ad_vector(u).transpose() for u in U.basis.data], g.dim))
+        [V.basis @ g.ad_vector(u).transpose() for u in U.basis.num], g.dim))
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -253,22 +253,18 @@ def structure_report(g: LieAlgebra) -> StructureReport:
 def killing_form(g: LieAlgebra) -> SymmetricForm:
     if "killing" in g._cache:
         return g._cache["killing"]
-    n = g.dim
-    ads = [g.ad(i) for i in range(n)]
-
-    def trace_product(a: Matrix, b: Matrix):
-        # tr(ab) over the product of the denominators, from a's rows and
-        # b's columns
-        total = sum(sum(map(mul, row, col))
-                    for row, col in zip(a.num, zip(*b.num)))
-        return Q(total, a.den * b.den)
-
-    rows = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
+    n, ads = g.dim, g._ad
+    den = lcm(*(a.den for a in ads))
+    cols = [tuple(zip(*a.num)) for a in ads]
+    # tr(ad_i ad_j) from ad_i's rows and ad_j's columns, over den²
+    rows = [[0] * n for _ in range(n)]
+    for i, a in enumerate(ads):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = trace_product(ads[i], ads[j])
-    gram = Matrix(rows, n, n)
-    out = SymmetricForm(gram)
+            total = sum(sum(map(mul, row, col))
+                        for row, col in zip(a.num, cols[j]))
+            rows[i][j] = rows[j][i] = \
+                total * (den // a.den) * (den // ads[j].den)
+    out = SymmetricForm(Matrix._int(tuple(map(tuple, rows)), den * den, n, n))
     g._cache["killing"] = out
     return out
 

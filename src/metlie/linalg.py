@@ -391,15 +391,21 @@ def stack_rows(mats: Sequence[Matrix], cols: int) -> Matrix:
 
 def linear_combination(terms: Iterable[Tuple[Fraction, Matrix]],
                        n: int) -> Matrix:
-    """Sum of c·a over the (c, a) with c nonzero, as an n x n matrix; a
-    itself, not a copy, when it is the only term and c = 1."""
-    scaled = [a if c == 1 else a.scale(c) for c, a in terms if c != 0]
-    if not scaled:
+    """Sum of c·a over the (c, a) with c nonzero, as an n x n matrix, summed
+    on the integer rows over one denominator; a itself if c = 1 is alone."""
+    terms = [(c, a) for c, a in terms if c]
+    if not terms:
         return Matrix.zeros(n, n)
-    acc = scaled[0]
-    for t in scaled[1:]:
-        acc = acc + t
-    return acc
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    terms = [(rational(c), a) for c, a in terms]
+    den = lcm(*(c.denominator * a.den for c, a in terms))
+    acc = None
+    for c, a in terms:
+        f = c.numerator * (den // (c.denominator * a.den))
+        acc = [[f * x for x in r] for r in a.num] if acc is None else [
+            [s + f * x for s, x in zip(sr, r)] for sr, r in zip(acc, a.num)]
+    return Matrix._int(tuple(map(tuple, acc)), den, n, n)
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:

@@ -163,18 +163,15 @@ def sub_representation(rep: Representation, U: Subspace
     _check_ambient(rep, U)
     if U.dim == rep.module_dim:
         return rep, Matrix.identity(rep.module_dim)
-    rows = U.basis.data
-    inclusion = Matrix.from_columns(rows, rows=rep.module_dim)
-    mats = []
-    for a in rep.action:
-        cols = []
-        for u in rows:
-            coords = U.coordinates(a.apply(u))
-            if coords is None:
-                raise ValueError("not a submodule")
-            cols.append(coords)
-        mats.append(Matrix.from_columns(cols, rows=U.dim))
-    return Representation(rep.algebra, tuple(mats), validate=False), inclusion
+    if not rep.is_submodule(U):
+        raise ValueError("not a submodule")
+    # coordinates along U of a·u, through a complement of U
+    coords = block_coordinates(
+        (U.basis.data, U.complement_in(rep.full_space()).basis.data), 0,
+        rep.module_dim)
+    inclusion = U.basis.transpose()
+    mats = tuple(coords @ a @ inclusion for a in rep.action)
+    return Representation(rep.algebra, mats, validate=False), inclusion
 
 
 def quotient_representation(rep: Representation, U: Subspace
@@ -186,19 +183,15 @@ def quotient_representation(rep: Representation, U: Subspace
         identity = Matrix.identity(rep.module_dim)
         return (Representation(rep.algebra, rep.action, validate=False,
                                module_dim=rep.module_dim), identity, identity)
+    if not rep.is_submodule(U):
+        raise ValueError("not a submodule")
     # projection Q^m -> Q^m/U and lift back, through a complement of U
     m = rep.module_dim
     comp = U.complement_in(Subspace.full(m))
-    lift = Matrix.from_columns(comp.basis.data, rows=m)
+    lift = comp.basis.transpose()
     proj = block_coordinates((U.basis.data, comp.basis.data), 1, m)
-    mats = []
-    for a in rep.action:
-        pa = proj @ a
-        # proj kills exactly U, so U is a submodule iff proj·a·U = 0
-        if any(any(pa.apply(u)) for u in U.basis.data):
-            raise ValueError("not a submodule")
-        mats.append(pa @ lift)
-    return Representation(rep.algebra, tuple(mats), validate=False), proj, lift
+    mats = tuple(proj @ a @ lift for a in rep.action)
+    return Representation(rep.algebra, mats, validate=False), proj, lift
 
 
 def _check_ambient(rep: Representation, U: Subspace):
@@ -223,9 +216,10 @@ def direct_sum_representations(r1: Representation, r2: Representation,
 def submodule_generated(rep: Representation, vectors: Sequence[Vector]) -> Subspace:
     current = Subspace.span(rep.module_dim, vectors)
     while True:
-        rows = list(current.basis.data)
-        nxt = Subspace.span(rep.module_dim,
-                            rows + [a.apply(v) for a in rep.action for v in rows])
+        # the rows of basis·aᵀ are the images a·v
+        nxt = Subspace.row_space(stack_rows(
+            [current.basis] + [current.basis @ a.transpose()
+                               for a in rep.action], rep.module_dim))
         if nxt == current:
             return current
         current = nxt
@@ -239,7 +233,7 @@ def _central_lifts(g: LieAlgebra, nilrad: Subspace) -> Tuple[Vector, ...]:
         out = ()
     else:
         quotient, _, lift = quotient_algebra(g, nilrad)
-        out = tuple(lift.apply(z) for z in center(quotient).basis.data)
+        out = (center(quotient).basis @ lift.transpose()).data
     g._cache["central_lifts"] = out
     return out
 

@@ -1,19 +1,25 @@
 """Univariate polynomial helpers over the rationals.
 
-Coefficient tuples are stored low degree first and kept normalized (no
-trailing zeros).  Only what the module-radical computation needs: gcd,
-derivative, squarefree part, and Krylov-based minimal polynomials.
+Coefficient tuples are stored low degree first.  The public functions take
+and give normalized ``Fraction`` tuples (no trailing zeros), monic where a
+polynomial is defined up to a scalar.  Inside, polynomials are integer
+tuples: gcds and squarefree parts are primitive pseudo-remainder sequences
+(Gauss' lemma), and minimal polynomials come from Krylov chains on a
+matrix's integer rows.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import gcd as int_gcd, lcm
 from typing import Tuple
 
 from .lie import InternalCheckError
-from .linalg import Matrix, Q, Vector, unit_vector, vec_add, vec_scale
+from .linalg import Matrix, Q
 
 Poly = Tuple[Fraction, ...]
+IntPoly = Tuple[int, ...]
 
 
 def normalize(p) -> Poly:
@@ -27,12 +33,34 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def monic(p: Poly) -> Poly:
+def _scaled(p) -> Tuple[IntPoly, int]:
+    """(w, d) with p = w/d, w integers and d the lcm of p's denominators."""
     p = normalize(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
+    d = lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (d // c.denominator) for c in p), d
+
+
+def _primitive(w) -> IntPoly:
+    """w without trailing zeros, over its content, leading entry > 0."""
+    w = list(w)
+    while w and not w[-1]:
+        w.pop()
+    g = -int_gcd(*w) if w and w[-1] < 0 else int_gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def primitive(p) -> IntPoly:
+    """The primitive multiple of p with a positive leading coefficient."""
+    return _primitive(_scaled(p)[0])
+
+
+def _fractions(w, den: int) -> Poly:
+    return tuple(Fraction(x, den) for x in w)
+
+
+def monic(p) -> Poly:
+    w = _scaled(p)[0]
+    return _fractions(w, w[-1]) if w else ()
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -42,113 +70,131 @@ def add(p: Poly, q: Poly) -> Poly:
     return normalize(tuple(a + b for a, b in zip(p, q)))
 
 
+def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return normalize(tuple(out))
+    (a, da), (b, db) = _scaled(p), _scaled(q)
+    return _fractions(_mul(a, b), da * db)
+
+
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> Tuple[IntPoly, list, int]:
+    """(q, r, s) with s·a = q·b + r, deg r < deg b (r may keep trailing
+    zeros) and s = lc(b)^k, k = deg a − deg b + 1 or 0 if that is negative."""
+    k = max(len(a) - len(b) + 1, 0)
+    lead, top = b[-1], len(b) - 1
+    q, r = [0] * k, list(a)
+    for i in reversed(range(k)):
+        c = r[i + top]
+        q, r = [lead * x for x in q], [lead * x for x in r]
+        q[i] = c
+        for j, y in enumerate(b):
+            r[i + j] -= c * y
+    return tuple(q), r[:top], lead ** k
 
 
 def divmod_poly(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
-    p, q = normalize(p), normalize(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Q(0)] * max(0, len(p) - len(q) + 1)
-    while len(rem) >= len(q) and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(q):
-            break
-        shift = len(rem) - len(q)
-        factor = rem[-1] / q[-1]
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return normalize(tuple(quot)), normalize(tuple(rem))
+    (a, da), (b, db) = _scaled(p), _scaled(q)
+    if not b:
+        raise InternalCheckError("polynomial division by zero")
+    # s·a = quot·b + rem gives p = a/da = (quot·db/(s·da))·q + rem/(s·da)
+    quot, rem, s = _pseudo_divmod(a, b)
+    return (_fractions((x * db for x in quot), s * da),
+            normalize(_fractions(rem, s * da)))
+
+
+def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The primitive gcd, by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    p, q = normalize(p), normalize(q)
-    while q:
-        p, q = q, divmod_poly(p, q)[1]
-    return monic(p)
+    return monic(_gcd(_scaled(p)[0], _scaled(q)[0]))
 
 
 def derivative(p: Poly) -> Poly:
-    return normalize(tuple(Q(i) * p[i] for i in range(1, len(p))))
+    w, d = _scaled(p)
+    return _fractions((i * w[i] for i in range(1, len(w))), d)
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p') — squarefree over any perfect field, exact over Q."""
-    p = monic(p)
-    if degree(p) <= 1:
-        return p
-    g = gcd(p, derivative(p))
-    return monic(divmod_poly(p, g)[0])
+    """p / gcd(p, p') — squarefree over any perfect field, exact over Q.
+    For primitive w and g, w/g has integer coefficients and the
+    pseudo-quotient is a multiple of it."""
+    w = primitive(p)
+    if len(w) > 2:
+        dw = [i * w[i] for i in range(1, len(w))]
+        w = _pseudo_divmod(w, _gcd(w, dw))[0]
+    return monic(w)
+
+
+def _apply(N, v):
+    return [sum(map(operator.mul, row, v)) for row in N]
+
+
+def _horner(w: IntPoly, N, i: int, den: int = 1):
+    """Σ_k w_k·den^(deg−k)·N^k e_i for integer rows N, by Horner's rule."""
+    out, scale = [0] * len(N), 1
+    for k, c in enumerate(reversed(w)):
+        if k:
+            out, scale = _apply(N, out), scale * den
+        out[i] += c * scale
+    return out
 
 
 def evaluate_matrix(p: Poly, M: Matrix) -> Matrix:
-    acc = Matrix.zeros(M.rows, M.cols)
-    power = Matrix.identity(M.rows)
-    for c in p:
-        if c != 0:
-            acc = acc + power.scale(c)
-        power = power @ M
-    return acc
+    """p(M) column by column: with p = w/d and N = den·M, column i is
+    Σ_k w_k·den^(deg−k)·N^k e_i over d·den^deg."""
+    if M.rows != M.cols:
+        raise InternalCheckError("polynomial of a non-square matrix")
+    w, d = _scaled(p)
+    columns = [_horner(w, M.num, i, M.den) for i in range(M.rows)]
+    return Matrix._int(tuple(zip(*columns)),
+                       d * M.den ** max(len(w) - 1, 0), M.rows, M.cols)
 
 
-def _annihilator(M: Matrix, v: Vector, limit: int) -> Poly:
-    """Monic generator of {p : p(M) v = 0}, of degree at most ``limit``.
-
-    Read off the first dependence among the columns v, Mv, ..., M^limit v
-    of one reduced row echelon form.
-    """
-    krylov = [v]
+def _annihilator(N, v, limit: int) -> IntPoly:
+    """Monic generator of {p : p(N) v = 0}, of degree at most ``limit``,
+    for integer rows N and an integer vector v: the first dependence among
+    the columns v, Nv, ..., N^limit v of one reduced row echelon form.  It
+    divides N's monic integer minimal polynomial, so it is monic integer
+    too (Gauss' lemma)."""
+    chain = [v]
     for _ in range(limit):
-        krylov.append(M.apply(krylov[-1]))
-    red, pivots = Matrix.from_columns(krylov, rows=M.rows).rref()
+        chain.append(_apply(N, chain[-1]))
+    red, pivots = Matrix._int(tuple(zip(*chain)), 1, len(N), limit + 1).rref()
     # pivots are 0, 1, ..., d-1 up to the first dependent column d
     d = next((c for c, col in enumerate(pivots) if col != c), len(pivots))
     if d > limit:
         raise InternalCheckError("no Krylov dependence within the degree bound")
-    p = tuple(-red[r, d] for r in range(d)) + (Q(1),)
-    if any(sum((c * x[row] for c, x in zip(p, krylov) if c), Q(0))
-           for row in range(M.rows)):
+    p = tuple(-red.num[r][d] for r in range(d)) + (red.den,)
+    if any(sum(map(operator.mul, p, x)) for x in zip(*chain[:d + 1])):
         raise InternalCheckError("Krylov polynomial does not annihilate its vector")
-    return p
+    return _primitive(p)
 
 
 def minimal_polynomial(M: Matrix) -> Poly:
-    """Minimal polynomial via Krylov annihilators, exact arithmetic.
-
-    With m annihilating e_0, ..., e_{i-1}, the product m·ann(m(M) e_i) is
-    lcm(m, ann(e_i)), so no polynomial gcd is needed.
+    """Minimal polynomial via Krylov annihilators on the integer rows
+    N = den·M: m_M(t) = m_N(den·t)/den^deg.  With m annihilating e_0, ...,
+    e_{i-1}, m·ann(m(N) e_i) is lcm(m, ann(e_i)), so no gcd is needed.
     """
     if M.rows != M.cols:
-        raise ValueError("minimal polynomial of non-square matrix")
+        raise InternalCheckError("polynomial of a non-square matrix")
     n = M.rows
-    result: Poly = (Q(1),)
+    result: IntPoly = (1,)
     for i in range(n):
-        w = _evaluate_on(result, M, unit_vector(n, i))
+        w = _horner(result, M.num, i)
         if any(w):
-            result = mul(result, _annihilator(M, w, n - degree(result)))
-            if degree(result) == n:
+            result = _mul(result, _annihilator(M.num, w, n + 1 - len(result)))
+            if len(result) == n + 1:
                 break
-    return result
-
-
-def _evaluate_on(p: Poly, M: Matrix, v: Vector) -> Vector:
-    """p(M) v for monic p, by Horner's rule."""
-    out = v
-    for c in reversed(p[:-1]):
-        out = M.apply(out)
-        if c:
-            out = vec_add(out, vec_scale(c, v))
-    return out
+    deg = len(result) - 1
+    return tuple(Fraction(c, M.den ** (deg - k)) for k, c in enumerate(result))

@@ -19,15 +19,16 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from . import polynomials as poly
 from .cohomology import (Cochain, CochainComplex, NotACocycleError,
                          QuadraticCochain, QuadraticCocycle,
                          equivalent_cocycles)
 from .lie import (InternalCheckError, LieAlgebra, center,
                   derived_subalgebra)
 from .linalg import (Matrix, Q, Subspace, SymmetricForm, Vector,
-                     block_coordinates, lex_subsets, orthogonal_complement,
-                     stack_rows, unit_vector, vec_add, vec_scale,
-                     zero_vector)
+                     block_coordinates, block_diagonal, lex_subsets,
+                     orthogonal_complement, stack_rows, unit_vector, vec_add,
+                     vec_scale, zero_vector)
 from .metric import MetricLieAlgebra, canonical_ideals, invariance_witness
 from .modules import (Representation, adjoint_representation, filtration,
                       invariant_split, is_semisimple)
@@ -305,10 +306,10 @@ def _level_conditions(z: QuadraticCocycle, model: StandardModel,
     d = model.metric
     N = d.dim
 
-    la_rows = [unit_vector(N, a) for a in range(n + m)]
-    la = Subspace.span(N, la_rows)
-    h_k = Subspace.span(N, la_rows + [tuple(zero_vector(n + m)) + tuple(v)
-                                      for v in r_k.basis.data])
+    # l* + a and h_k = l* + a + r_k, in reduced echelon form as they stand
+    la_block = Matrix.identity(n + m)
+    la = Subspace(N, block_diagonal((la_block, Matrix.zeros(0, n))))
+    h_k = Subspace(N, block_diagonal((la_block, r_k.basis)))
     h_perp = orthogonal_complement(h_k, d.form)
     if not h_k.contains_subspace(h_perp):
         raise InternalCheckError("h_k is not coisotropic")
@@ -596,61 +597,41 @@ def _binary_det_lines(rep: Representation) -> Tuple[bool, List[Vector]]:
     A, B = rep.action[0], rep.action[1]
     # det(x A + y B) as a binary form: evaluate at m+1 points and interpolate
     xs = list(range(m + 1))
-    values = []
-    for t in xs:
-        values.append((A.scale(t) + B).det())
+    values = [(A.scale(t) + B).det() for t in xs]
     # coefficients of p(t) = det(tA + B), degree <= m
     van = Matrix([[Q(t) ** j for j in range(m + 1)] for t in xs], m + 1, m + 1)
     coeffs = van.solve(tuple(values))
     if coeffs is None:
         raise InternalCheckError("Vandermonde interpolation has no solution")
-    from . import polynomials as poly
     p = poly.normalize(coeffs)
-    lines: List[Vector] = []
     if not p:
         # det vanishes identically: every direction is singular, which the
         # finite line list cannot represent
         return False, [(Q(1), Q(0)), (Q(0), Q(1))]
-    deg_drop = m - (len(p) - 1)
-    if deg_drop > 0:
-        lines.append((Q(1), Q(0)))   # direction A (the coefficient of t^m)
-    complete = True
-    if p:
-        # rational roots t give directions (t, 1)
-        for root in _rational_roots(p):
-            lines.append((root, Q(1)))
-        residual = p
-        for root in _rational_roots(p):
-            while True:
-                quo, rem = poly.divmod_poly(residual, (-root, Q(1)))
-                if rem:
-                    break
-                residual = quo
-        if len(residual) - 1 >= 1:
-            complete = _no_real_roots(residual)
-    return complete, lines
+    # direction A when the coefficient of t^m vanishes
+    lines: List[Vector] = [(Q(1), Q(0))] if len(p) - 1 < m else []
+    # rational roots t give directions (t, 1)
+    roots = _rational_roots(p)
+    lines += [(root, Q(1)) for root in roots]
+    residual = p
+    for root in roots:
+        while True:
+            quo, rem = poly.divmod_poly(residual, (-root, Q(1)))
+            if rem:
+                break
+            residual = quo
+    return _no_real_roots(residual), lines
 
 
 def _rational_roots(p) -> List[Q]:
-    from . import polynomials as poly
-    p = poly.normalize(p)
-    if not p:
-        return []
-    denominators = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * denominators) for c in p]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return [Q(0)]
-    a0, an = abs(ints[0]), abs(ints[-1])
+    """The rational roots of a nonzero normalized p, in increasing order."""
+    ints = poly.primitive(p)
+    a0, an = next(c for c in ints if c), ints[-1]
     roots = set()
     for pdiv in _divisors(a0):
         for qdiv in _divisors(an):
             for cand in (Q(pdiv, qdiv), Q(-pdiv, qdiv)):
-                val = Q(0)
-                for c in reversed(p):
-                    val = val * cand + c
-                if val == 0:
+                if sum(c * cand ** k for k, c in enumerate(ints)) == 0:
                     roots.add(cand)
     if sum(1 for c in p if c != 0) == 1 or p[0] == 0:
         roots.add(Q(0))
@@ -658,32 +639,17 @@ def _rational_roots(p) -> List[Q]:
 
 
 def _divisors(n: int) -> List[int]:
+    """The positive divisors of n ≠ 0, in increasing order."""
     n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0
+                   for d in (k, n // k)})
 
 
 def _no_real_roots(p) -> bool:
-    """True when the polynomial is a product of definite quadratics;
+    """True when the polynomial is a constant or a definite quadratic;
     conservative (False) beyond degree 2."""
-    from . import polynomials as poly
     p = poly.normalize(p)
-    deg = len(p) - 1
-    if deg <= 0:
-        return True
-    if deg == 2:
-        a, b, c = p[2], p[1], p[0]
-        return b * b - 4 * a * c < 0
-    return False
+    return len(p) <= 1 or (len(p) == 3 and p[1] * p[1] < 4 * p[2] * p[0])
 
 
 def _plane_split_search(rep: Representation):

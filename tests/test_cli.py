@@ -8,8 +8,10 @@ from metlie import (Cochain, CochainComplex, Matrix, QuadraticCochain,
                     QuadraticCocycle, SymmetricForm, q_action,
                     trivial_representation)
 from metlie import documents as doc
+from metlie import polynomials as poly
 from metlie.catalog import base_algebra, catalog_row
 from metlie.cli import main
+from metlie.lie import InternalCheckError
 
 from conftest import rotation_rep
 
@@ -302,6 +304,46 @@ def _h1_pair(dim=3, module_dim=1, i=0, j=1):
     return {"algebra": {"dim": dim, "brackets": [[i, j, 2, "1"]]},
             "module_dim": module_dim, "action": [[["0"]]] * 3,
             "gram": [["1"]]}
+
+
+class TestUnexpectedErrors:
+    """Any exception the CLI does not map to an input error is a bug: exit
+    3, never the false-verdict status 1, and nothing on standard output."""
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),
+                                     KeyError("missing"), MemoryError()],
+                             ids=lambda e: type(e).__name__)
+    def test_exit_three(self, monkeypatch, capsys, exc):
+        import metlie.cli
+
+        def fail(bounds):
+            raise exc
+
+        monkeypatch.setattr(metlie.cli, "sweep", fail)
+        assert main(["sweep", "--bounds", "m=1,num=1,den=1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"internal error: {type(exc).__name__}" in err
+
+    @pytest.mark.parametrize("name, misuse, message", [
+        ("minimal_polynomial", lambda real: lambda M: real(M.hstack(M)),
+         "polynomial of a non-square matrix"),
+        ("squarefree_part", lambda real: lambda p: poly.divmod_poly(p, ()),
+         "polynomial division by zero")], ids=["non-square", "zero-divisor"])
+    def test_polynomial_misuse_exit_three(self, monkeypatch, capsys, name,
+                                          misuse, message):
+        # the radical operators of the R1 rows take both functions
+        monkeypatch.setattr(poly, name, misuse(getattr(poly, name)))
+        assert main(["--json", "sweep", "--bounds", "m=0,num=1,den=1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"internal cross-check failure: {message}" in err
+
+    def test_polynomial_misuse_raises(self):
+        with pytest.raises(InternalCheckError, match="non-square matrix"):
+            poly.minimal_polynomial(Matrix([[1, 2]]))
+        with pytest.raises(InternalCheckError, match="division by zero"):
+            poly.divmod_poly((Q(1), Q(1)), (Q(0),))
 
 
 class TestBooleansAreNotIntegers:
