@@ -13,7 +13,9 @@ earlier routes, on ``Fraction`` coefficients and vectors:
   Euclid's algorithm over the rationals;
 - a matrix polynomial as the sum of scaled powers;
 - a linear combination as one ``scale`` per term and one ``+`` per extra
-  term.
+  term;
+- the Killing form as traces of products of adjoint matrices, and bracket
+  spaces spanned by ad(u) of U's ``Fraction`` basis vectors.
 
 Every result is canonical (a normalized or monic coefficient tuple, a
 matrix in lowest terms), so the routes must agree exactly, types included.
@@ -24,7 +26,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from metlie import polynomials as poly
-from metlie.linalg import Matrix, block_diagonal, linear_combination
+from metlie.lie import LieAlgebra, bracket_subspace, killing_form
+from metlie.linalg import (Matrix, Subspace, block_diagonal,
+                           linear_combination, stack_rows)
 from test_radical_routes import square_matrices
 
 Q = Fraction
@@ -150,6 +154,16 @@ def ref_linear_combination(terms, n):
     return acc
 
 
+def ref_killing_gram(g):
+    ads = [g.ad(i) for i in range(g.dim)]
+    return Matrix([[(a @ b).trace() for b in ads] for a in ads], g.dim, g.dim)
+
+
+def ref_bracket_subspace(g, U, V):
+    return Subspace.row_space(stack_rows(
+        [V.basis @ g.ad_vector(u).transpose() for u in U.basis.data], g.dim))
+
+
 # --- inputs ------------------------------------------------------------------
 
 rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
@@ -194,6 +208,21 @@ def combinations(draw):
         st.one_of(st.just(Q(1)), st.just(Q(0)), st.just(1), rationals),
         square), max_size=4))
     return terms, n
+
+
+@st.composite
+def rational_algebras(draw):
+    """Random rational structure constants (Jacobi not required), so that
+    the adjoint matrices have different denominators, with two random
+    subspaces."""
+    n = draw(st.integers(2, 5))
+    brackets = {(i, j): tuple(draw(rationals) for _ in range(n))
+                for i in range(n) for j in range(i + 1, n)}
+    g = LieAlgebra(n, brackets, validate=False)
+    U, V = (Subspace.span(n, draw(st.lists(st.lists(rationals, min_size=n,
+                                                    max_size=n), max_size=3)))
+            for _ in range(2))
+    return g, U, V
 
 
 def fractions_only(p):
@@ -249,3 +278,10 @@ class TestPolynomialRoutes:
         terms, n = data
         assert linear_combination(terms, n) == \
             ref_linear_combination(terms, n)
+
+    @EXAMPLES
+    @given(rational_algebras())
+    def test_killing_form_and_bracket_spaces(self, data):
+        g, U, V = data
+        assert killing_form(g).gram == ref_killing_gram(g)
+        assert bracket_subspace(g, U, V) == ref_bracket_subspace(g, U, V)
